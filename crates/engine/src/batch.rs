@@ -31,9 +31,7 @@
 //!    counts, so the colliding interaction is executed individually from a
 //!    two-urn (fresh/used) configuration with exact integer category
 //!    weights — the sampled schedule stays distributionally identical to
-//!    sequential stepping, collision included. Multi-round episodes keep
-//!    the urns alive and chain further segments from the continuation
-//!    run-length law.
+//!    sequential stepping, collision included.
 //!
 //! Convergence detection stays **step-exact**: conditioned on the run's pair
 //! multiset, the true process orders the interactions as a uniformly random
@@ -60,8 +58,7 @@ use crate::round::BatchScratch;
 /// [`CountSimulation::batch_stats`](crate::CountSimulation::batch_stats)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Batch episodes executed (one per `begin`/merge cycle; a multi-round
-    /// episode spans several collision-free segments).
+    /// Batch episodes executed (one per `begin`/merge cycle).
     pub episodes: u64,
     /// Interactions applied through collision-free bulk rounds.
     pub bulk_interactions: u64,
@@ -75,9 +72,9 @@ pub struct BatchStats {
     /// Segments whose responder shuffle was replaced by a contingency
     /// table.
     pub shuffle_skips: u64,
-    /// Collision-free segments executed (equals `episodes` for
-    /// single-round laws; the per-episode average `episode_segments /
-    /// episodes` is the multi-round chain length).
+    /// Collision-free segments executed. Every episode is one segment, so
+    /// this equals `episodes`; it stays a separate counter so snapshots and
+    /// metrics keep their layout.
     pub episode_segments: u64,
 }
 

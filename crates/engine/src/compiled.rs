@@ -35,24 +35,31 @@
 //! support fits the cap again.
 //!
 //! Entries are packed into a `u32` as
-//! `a | b << 12 | (leader_delta + 2) << 24 | is_null << 27`, with
-//! `u32::MAX` as the vacant sentinel (unreachable by any packed entry, whose
-//! bits 28.. are always zero). The 12-bit id fields are what cap the
-//! addressable range at 4096; the narrow entries keep the dense table half
-//! the size it would be with `u64`, which matters because the steady-state
-//! step's one table load is the only memory access in the hot loop that can
-//! miss L1. Filled slots are additionally tracked in a coordinate list, so
-//! iteration and compaction cost `O(compiled pairs)`, never `O(stride²)`.
+//! `a | b << 12 | (leader_delta + 2) << 24 | is_null << 27 | 1 << 28`, with
+//! `0` as the vacant sentinel: bit 28 marks a filled slot, so no packed
+//! entry is zero. A zero sentinel lets large tables be zeroed allocations,
+//! which the OS maps lazily — growth, compaction and restore touch only the
+//! pages their filled slots land on, not all `4·stride²` bytes. The flag is
+//! internal: [`for_each_filled`](PairCache::for_each_filled) reports entries
+//! without it, so snapshots store the flag-free words. The 12-bit id fields
+//! are what cap the addressable range at 4096; the narrow entries keep the
+//! dense table half the size it would be with `u64`, which matters because
+//! the steady-state step's one table load is the only memory access in the
+//! hot loop that can miss L1. Filled slots are additionally tracked in a
+//! coordinate list, so iteration and compaction cost `O(compiled pairs)`,
+//! never `O(stride²)`.
 
-/// Vacant-slot sentinel: no packed entry can equal this (bits 28..32 of a
-/// packed entry are always zero).
-pub(crate) const EMPTY: u32 = u32::MAX;
+/// Vacant-slot sentinel: no packed entry can equal this (every packed
+/// entry carries [`FILLED_BIT`]).
+pub(crate) const EMPTY: u32 = 0;
 
 /// State-id width inside a packed entry; caps addressable ids at `2^12`.
 const ID_BITS: u32 = 12;
 const ID_MASK: u32 = (1 << ID_BITS) - 1;
 const DELTA_SHIFT: u32 = 2 * ID_BITS;
 const NULL_BIT: u32 = DELTA_SHIFT + 3;
+/// Set in every packed entry so that no entry equals [`EMPTY`].
+const FILLED_BIT: u32 = 1 << (NULL_BIT + 1);
 
 /// The hard ceiling on addressable interned states — the full reach of the
 /// packed 12-bit id fields. [`EngineConfig::max_compiled_states`]
@@ -61,6 +68,26 @@ const NULL_BIT: u32 = DELTA_SHIFT + 3;
 /// by doubling, so a protocol only ever pays for (the next power of two of)
 /// the states it actually addresses.
 pub const MAX_COMPILED_STATES: usize = 1 << ID_BITS;
+
+/// Tables of at least this many slots (256 KiB) are allocated zeroed: an
+/// allocation that size is a fresh mapping the OS zero-fills page by page
+/// on first touch, so growth, compaction and restore only pay for the pages
+/// their filled slots land on. Smaller tables are allocated and filled
+/// eagerly, which the allocator's per-thread cache serves faster than a
+/// zeroed allocation — the stride-16 table every engine starts with is
+/// allocated once per election.
+const LAZY_TABLE_SLOTS: usize = 1 << 16;
+
+/// A table of `slots` vacant entries.
+fn vacant_table(slots: usize) -> Vec<u32> {
+    if slots >= LAZY_TABLE_SLOTS {
+        vec![EMPTY; slots]
+    } else {
+        let mut table = Vec::with_capacity(slots);
+        table.resize(slots, EMPTY);
+        table
+    }
+}
 
 /// Packs a compiled transition into one word.
 ///
@@ -75,6 +102,7 @@ pub(crate) fn pack(a: usize, b: usize, delta: i8, null: bool) -> u32 {
         | ((b as u32) << ID_BITS)
         | (((delta + 2) as u32) << DELTA_SHIFT)
         | (u32::from(null) << NULL_BIT)
+        | FILLED_BIT
 }
 
 /// Unpacks a compiled transition: `(a, b, leader_delta, is_null)`.
@@ -183,7 +211,7 @@ impl PairCache {
 
     fn grow(&mut self, new_shift: u32) {
         let old_shift = self.shift;
-        let old = std::mem::replace(&mut self.table, vec![EMPTY; 1 << (2 * new_shift)]);
+        let old = std::mem::replace(&mut self.table, vacant_table(1 << (2 * new_shift)));
         self.shift = new_shift;
         for &(s, t) in &self.filled {
             let (s, t) = (s as usize, t as usize);
@@ -251,7 +279,7 @@ impl PairCache {
         let old_filled = std::mem::take(&mut self.filled);
         let covered = live.min(self.limit);
         self.shift = covered.next_power_of_two().max(16).trailing_zeros();
-        self.table = vec![EMPTY; 1 << (2 * self.shift)];
+        self.table = vacant_table(1 << (2 * self.shift));
         let stride = 1usize << self.shift;
         for &(s, t) in &old_filled {
             let entry = old[((s as usize) << old_shift) | t as usize];
@@ -325,25 +353,27 @@ impl PairCache {
             return None;
         }
         cache.shift = shift;
-        cache.table = vec![EMPTY; 1 << (2 * shift)];
+        cache.table = vacant_table(1 << (2 * shift));
         let stride = 1u16 << shift;
         for &(s, t, entry) in entries {
-            // Packed entries never use bits 28.. and never equal EMPTY.
-            if s >= stride || t >= stride || entry == EMPTY || entry >> (NULL_BIT + 1) != 0 {
+            // Snapshot entries are flag-free packed words: bits 28.. zero.
+            if s >= stride || t >= stride || entry >> (NULL_BIT + 1) != 0 {
                 return None;
             }
             let slot = ((s as usize) << shift) | t as usize;
             if cache.table[slot] != EMPTY {
                 return None;
             }
-            cache.table[slot] = entry;
+            cache.table[slot] = entry | FILLED_BIT;
             cache.filled.push((s, t));
         }
         Some(cache)
     }
 
-    /// Visits every filled entry as `(s, t, entry)` — used to re-seed the
-    /// jump scheduler's null ledger from already-compiled pairs when the
+    /// Visits every filled entry as `(s, t, entry)`, with the entry's
+    /// filled flag cleared — the form snapshots store and
+    /// [`restore`](Self::restore) accepts. Also used to re-seed the jump
+    /// scheduler's null ledger from already-compiled pairs when the
     /// scheduler is (re-)enabled mid-run.
     pub(crate) fn for_each_filled(&self, mut f: impl FnMut(usize, usize, u32)) {
         let shift = self.shift;
@@ -351,7 +381,7 @@ impl PairCache {
             f(
                 s as usize,
                 t as usize,
-                self.table[((s as usize) << shift) | t as usize],
+                self.table[((s as usize) << shift) | t as usize] & !FILLED_BIT,
             );
         }
     }

@@ -68,9 +68,7 @@
 use crate::batch::BatchStats;
 use crate::compiled::{self, PairCache};
 use crate::obs::{EngineEvent, EngineMetrics, EngineObserver};
-use crate::round::{
-    self, ContingencyLaw, LawMode, MultiRoundLaw, RoundLaw, SegmentDraw, SequenceExpansionLaw,
-};
+use crate::round::{self, ContingencyLaw, LawMode, RoundLaw, SegmentDraw, SequenceExpansionLaw};
 use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotState, SnapshotWriter};
 use crate::tier::{self, EngineConfig, EngineTier, JumpStats, TierController, TierUsage};
 use crate::{EngineError, LeaderElection, Protocol, Role, RunOutcome, CONVERGENCE_BATCH};
@@ -1114,139 +1112,113 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         match self.tiers.config.law_mode {
             LawMode::SequenceExpansion => self.law_episode::<SequenceExpansionLaw>(max, leaders),
             LawMode::Contingency => self.law_episode::<ContingencyLaw>(max, leaders),
-            LawMode::MultiRound => self.law_episode::<MultiRoundLaw>(max, leaders),
         }
     }
 
     /// The law-generic episode body behind [`batch_episode`](Self::
-    /// batch_episode): chains up to `L::SEGMENTS` collision-free segments
-    /// through one urn lifetime (`begin` once, merge once), drawing each
-    /// segment's structure from the law and its length from the
-    /// continuation run-length law conditioned on every agent used so far.
+    /// batch_episode): one collision-free segment through one urn lifetime
+    /// (`begin`, apply, merge), its structure drawn from the law.
     fn law_episode<L: RoundLaw>(&mut self, max: u64, mut leaders: Option<&mut i64>) -> (u64, bool) {
         debug_assert!(max > 0);
         let mut scratch = std::mem::take(&mut self.tiers.batch.scratch);
         scratch.begin(self.sampler.weights());
-        let mut consumed = 0u64;
-        let mut bulk_total = 0u64;
         let mut hit = false;
-        let mut segment = 0u32;
-        let mut collided = false;
-        let mut walked_any = false;
-        loop {
-            segment += 1;
-            let (bulk, collide) = round::collision_free_prefix_from(
-                &mut self.rng,
-                self.n,
-                scratch.used_total,
-                max - consumed,
-            );
-            self.tiers.batch.stats.episode_segments += 1;
-            // The leader count can touch 1 inside the segment only within
-            // ±2 per interaction of its entry value; segments that provably
-            // cannot skip the walk and apply pure bulk deltas.
-            let walk = leaders
-                .as_deref()
-                .is_some_and(|&l| (l - 1).unsigned_abs() <= 2 * bulk);
-            if walk {
-                self.tiers.batch.stats.exact_walks += 1;
-                walked_any = true;
-            }
-            let draw = L::draw_segment(
-                &mut scratch,
-                &mut self.rng,
-                bulk,
-                walk,
-                &mut self.tiers.batch.stats,
-            );
-            let mut executed = 0u64;
-            match draw {
-                SegmentDraw::Sequences => {
-                    for i in 0..bulk as usize {
-                        let s = scratch.init_seq[i] as usize;
-                        let t = scratch.resp_seq[i] as usize;
-                        let (a, b, delta, _) = self.pair_effect(s, t);
-                        scratch.ensure_states(self.states.len());
-                        scratch.add_used(a);
-                        scratch.add_used(b);
-                        executed += 1;
-                        if let Some(l) = leaders.as_deref_mut() {
-                            *l += i64::from(delta);
-                            if walk && delta != 0 && *l == 1 {
-                                hit = true;
-                                // Return the reserved-but-unexecuted tail to
-                                // the fresh urn; those agents never
-                                // interacted.
-                                for j in i + 1..bulk as usize {
-                                    let init = scratch.init_seq[j] as usize;
-                                    scratch.return_fresh(init);
-                                    let resp = scratch.resp_seq[j] as usize;
-                                    scratch.return_fresh(resp);
-                                }
-                                break;
+        let (bulk, collide) = round::collision_free_prefix_from(&mut self.rng, self.n, 0, max);
+        self.tiers.batch.stats.episode_segments += 1;
+        // The leader count can touch 1 inside the segment only within ±2
+        // per interaction of its entry value; segments that provably cannot
+        // skip the walk and apply pure bulk deltas.
+        let walk = leaders
+            .as_deref()
+            .is_some_and(|&l| (l - 1).unsigned_abs() <= 2 * bulk);
+        if walk {
+            self.tiers.batch.stats.exact_walks += 1;
+        }
+        let draw = L::draw_segment(
+            &mut scratch,
+            &mut self.rng,
+            bulk,
+            walk,
+            &mut self.tiers.batch.stats,
+        );
+        let mut executed = 0u64;
+        match draw {
+            SegmentDraw::Sequences => {
+                for i in 0..bulk as usize {
+                    let s = scratch.init_seq[i] as usize;
+                    let t = scratch.resp_seq[i] as usize;
+                    let (a, b, delta, _) = self.pair_effect(s, t);
+                    scratch.ensure_states(self.states.len());
+                    scratch.add_used(a);
+                    scratch.add_used(b);
+                    executed += 1;
+                    if let Some(l) = leaders.as_deref_mut() {
+                        *l += i64::from(delta);
+                        if walk && delta != 0 && *l == 1 {
+                            hit = true;
+                            // Return the reserved-but-unexecuted tail to the
+                            // fresh urn; those agents never interacted.
+                            for j in i + 1..bulk as usize {
+                                let init = scratch.init_seq[j] as usize;
+                                scratch.return_fresh(init);
+                                let resp = scratch.resp_seq[j] as usize;
+                                scratch.return_fresh(resp);
                             }
-                        }
-                    }
-                }
-                SegmentDraw::Cells => {
-                    // Aggregated apply: `c` identical interactions collapse
-                    // into one cache lookup and one urn update per side.
-                    // `walk` forces Sequences, so no hitting-step check is
-                    // needed here — the count provably stays away from 1.
-                    debug_assert!(!walk);
-                    for idx in 0..scratch.cells.len() {
-                        let (s, t, c) = scratch.cells[idx];
-                        let (a, b, delta, _) = self.pair_effect(s as usize, t as usize);
-                        scratch.ensure_states(self.states.len());
-                        scratch.add_used_n(a, c);
-                        scratch.add_used_n(b, c);
-                        executed += c;
-                        if let Some(l) = leaders.as_deref_mut() {
-                            *l += i64::from(delta) * c as i64;
+                            break;
                         }
                     }
                 }
             }
-            consumed += executed;
-            bulk_total += executed;
-            if collide && !hit {
-                // The terminating interaction touches at least one used
-                // agent. Used agents are exchangeable given their counts, so
-                // the participants are drawn from exact integer category
-                // weights over (used, fresh) ordered pairs, excluding
-                // fresh-fresh.
-                debug_assert_eq!(executed, bulk);
-                let used = scratch.used_total;
-                let fresh = scratch.fresh_total;
-                let w_uu = used * (used - 1);
-                let w_uf = used * fresh;
-                let pick = self.rng.below(w_uu + 2 * w_uf);
-                let (iu, ru) = if pick < w_uu {
-                    (true, true)
-                } else if pick < w_uu + w_uf {
-                    (true, false)
-                } else {
-                    (false, true)
-                };
-                let s = scratch.draw_one(&mut self.rng, iu);
-                let t = scratch.draw_one(&mut self.rng, ru);
-                let (a, b, delta, _) = self.pair_effect(s, t);
-                scratch.ensure_states(self.states.len());
-                scratch.add_used(a);
-                scratch.add_used(b);
-                consumed += 1;
-                self.tiers.batch.stats.collision_interactions += 1;
-                collided = true;
-                if let Some(l) = leaders.as_deref_mut() {
-                    *l += i64::from(delta);
-                    hit = *l == 1 && delta != 0;
+            SegmentDraw::Cells => {
+                // Aggregated apply: `c` identical interactions collapse into
+                // one cache lookup and one urn update per side. `walk`
+                // forces Sequences, so no hitting-step check is needed here
+                // — the count provably stays away from 1.
+                debug_assert!(!walk);
+                for idx in 0..scratch.cells.len() {
+                    let (s, t, c) = scratch.cells[idx];
+                    let (a, b, delta, _) = self.pair_effect(s as usize, t as usize);
+                    scratch.ensure_states(self.states.len());
+                    scratch.add_used_n(a, c);
+                    scratch.add_used_n(b, c);
+                    executed += c;
+                    if let Some(l) = leaders.as_deref_mut() {
+                        *l += i64::from(delta) * c as i64;
+                    }
                 }
             }
-            // Chain another segment only if a collision (not budget
-            // exhaustion) ended this one, the law allows it, convergence
-            // wasn't hit, and budget remains to spend.
-            if !collide || hit || segment >= L::SEGMENTS || consumed >= max {
-                break;
+        }
+        let mut consumed = executed;
+        let collided = collide && !hit;
+        if collided {
+            // The terminating interaction touches at least one used agent.
+            // Used agents are exchangeable given their counts, so the
+            // participants are drawn from exact integer category weights
+            // over (used, fresh) ordered pairs, excluding fresh-fresh.
+            debug_assert_eq!(executed, bulk);
+            let used = scratch.used_total;
+            let fresh = scratch.fresh_total;
+            let w_uu = used * (used - 1);
+            let w_uf = used * fresh;
+            let pick = self.rng.below(w_uu + 2 * w_uf);
+            let (iu, ru) = if pick < w_uu {
+                (true, true)
+            } else if pick < w_uu + w_uf {
+                (true, false)
+            } else {
+                (false, true)
+            };
+            let s = scratch.draw_one(&mut self.rng, iu);
+            let t = scratch.draw_one(&mut self.rng, ru);
+            let (a, b, delta, _) = self.pair_effect(s, t);
+            scratch.ensure_states(self.states.len());
+            scratch.add_used(a);
+            scratch.add_used(b);
+            consumed += 1;
+            self.tiers.batch.stats.collision_interactions += 1;
+            if let Some(l) = leaders {
+                *l += i64::from(delta);
+                hit = *l == 1 && delta != 0;
             }
         }
         // Merge the urns back into the sampler counts.
@@ -1265,7 +1237,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         self.steps += consumed;
         let stats = &mut self.tiers.batch.stats;
         stats.episodes += 1;
-        stats.bulk_interactions += bulk_total;
+        stats.bulk_interactions += executed;
         self.tiers.batch.scratch = scratch;
         // Counts changed wholesale behind the jump ledger's back.
         if !self.tiers.jump.ledger.is_empty() {
@@ -1276,10 +1248,10 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
             obs.record(EngineEvent::BatchEpisode {
                 step,
                 law,
-                segments: u64::from(segment),
-                bulk: bulk_total,
+                segments: 1,
+                bulk: executed,
                 collision: collided,
-                walked: walked_any,
+                walked: walk,
             });
         }
         (consumed, hit)
@@ -1746,8 +1718,10 @@ where
             batch_support_divisor: sec.get_u64()?,
             batch_min_population: sec.get_u64()?,
             compaction: sec.get_bool()?,
-            law_mode: LawMode::from_tag(sec.get_u8()?)
-                .ok_or(Corrupt("unknown round-law mode tag"))?,
+            law_mode: {
+                let tag = sec.get_u8()?;
+                LawMode::from_tag(tag).ok_or(SnapshotError::UnsupportedLaw { tag })?
+            },
         };
         sec.expect_end("config section has trailing bytes")?;
 
@@ -2451,5 +2425,32 @@ mod tests {
             "snapshot bytes changed under version 3 (hash {hash:#018x}); \
              bump SNAPSHOT_VERSION and update GOLDEN"
         );
+    }
+
+    #[test]
+    fn retired_multi_round_law_tag_is_a_typed_snapshot_error() {
+        // Tag 2 was the multi-round law. A snapshot carrying it must be
+        // refused as an unsupported law, not misread as another law or
+        // reported as corruption.
+        let config = EngineConfig {
+            law_mode: LawMode::Contingency,
+            ..EngineConfig::default()
+        };
+        let mut sim = CountSimulation::with_config(Frat, 4096, rng(3), config).unwrap();
+        sim.force_batch_mode();
+        sim.run(10_000);
+        let mut bytes = sim.snapshot();
+        // Magic, version, then the config section: tag, length, five u64
+        // knobs and the compaction flag precede the law byte.
+        let law_at = 8 + 4 + 2 + 8 + 5 * 8 + 1;
+        assert_eq!(bytes[law_at], LawMode::Contingency.tag());
+        bytes[law_at] = 2;
+        let body = bytes.len() - 8;
+        let sum = snapshot::fnv1a64(&bytes[..body]).to_le_bytes();
+        bytes[body..].copy_from_slice(&sum);
+        match CountSimulation::<Frat, Xoshiro256PlusPlus>::resume(Frat, &bytes) {
+            Err(e) => assert_eq!(e, SnapshotError::UnsupportedLaw { tag: 2 }),
+            Ok(_) => panic!("a retired law tag must not resume"),
+        }
     }
 }

@@ -85,7 +85,6 @@ mod scheduler;
 pub mod snapshot;
 mod tier;
 mod trace;
-pub mod wide;
 
 pub use batch::BatchStats;
 pub use config::Configuration;
@@ -101,7 +100,6 @@ pub use scheduler::{
 pub use snapshot::{SnapshotError, SnapshotState, SNAPSHOT_VERSION};
 pub use tier::{EngineConfig, EngineTier, JumpStats, TierUsage};
 pub use trace::Trace;
-pub use wide::{WideElection, WideLaneExport, WideSimulation, WideTierPolicy};
 
 /// How many interactions run between hoisted checks (step budget, sampled
 /// debug assertions) in both engines' batched convergence loops.

@@ -1,6 +1,5 @@
 //! Engine observability: structured events, unified metrics, and trajectory
-//! sampling for [`CountSimulation`](crate::CountSimulation) and
-//! [`WideSimulation`](crate::WideSimulation).
+//! sampling for [`CountSimulation`](crate::CountSimulation).
 //!
 //! The engine's tier dispatch is invisible from the outside: a run reports
 //! end-state numbers (`steps`, final counts, the two ad-hoc stats structs)
@@ -26,8 +25,7 @@
 //! executes: a simulation with an observer attached produces bit-identical
 //! trajectories, final counts, step counts, and
 //! [`snapshot`](crate::CountSimulation::snapshot) bytes to its detached
-//! twin, on all four tiers and on the wide lane engine (pinned by the
-//! `tests/obs_identity.rs` suite). The disabled path costs one predictable
+//! twin, on all four tiers (pinned by the `tests/obs_identity.rs` suite). The disabled path costs one predictable
 //! branch at episode/review boundaries — never inside the per-interaction
 //! hot loops. Trajectory sampling only subdivides *per-step* chunk windows
 //! (per-step draws are identical per step, so window partitioning is
@@ -51,8 +49,6 @@
 //! | `compaction` | `live_before`, `live_after` (interned state ids) |
 //! | `snapshot` | `bytes` (serialized size) |
 //! | `resumed` | — |
-//! | `lane_retired` | `lane` (wide engine: lane index) |
-//! | `lane_spilled` | `lane` (wide engine: lane index) |
 
 use crate::batch::BatchStats;
 use crate::round::LawMode;
@@ -125,7 +121,8 @@ pub enum EngineEvent {
         step: u64,
         /// Round law the episode drew from.
         law: LawMode,
-        /// Collision-free segments chained in this episode.
+        /// Collision-free segments in this episode (always 1: an episode
+        /// is one collision-free round plus its terminating collision).
         segments: u64,
         /// Bulk (collision-free) interactions applied.
         bulk: u64,
@@ -157,22 +154,6 @@ pub enum EngineEvent {
         /// Engine step count the snapshot restored.
         step: u64,
     },
-    /// A wide-engine lane finished (converged or exhausted its budget) and
-    /// left the lane set.
-    LaneRetired {
-        /// The retiring lane's steps at retirement.
-        step: u64,
-        /// Original lane index.
-        lane: u64,
-    },
-    /// A wide-engine lane was spilled out for scalar completion
-    /// (null-dominated under the auto policy).
-    LaneSpilled {
-        /// The spilled lane's steps at the spill.
-        step: u64,
-        /// Original lane index.
-        lane: u64,
-    },
 }
 
 impl EngineEvent {
@@ -187,9 +168,7 @@ impl EngineEvent {
             | EngineEvent::BatchEpisode { step, .. }
             | EngineEvent::Compaction { step, .. }
             | EngineEvent::SnapshotTaken { step, .. }
-            | EngineEvent::Resumed { step }
-            | EngineEvent::LaneRetired { step, .. }
-            | EngineEvent::LaneSpilled { step, .. } => step,
+            | EngineEvent::Resumed { step } => step,
         }
     }
 
@@ -205,8 +184,6 @@ impl EngineEvent {
             EngineEvent::Compaction { .. } => "compaction",
             EngineEvent::SnapshotTaken { .. } => "snapshot",
             EngineEvent::Resumed { .. } => "resumed",
-            EngineEvent::LaneRetired { .. } => "lane_retired",
-            EngineEvent::LaneSpilled { .. } => "lane_spilled",
         }
     }
 
@@ -275,12 +252,6 @@ impl EngineEvent {
                 format!("{},\"bytes\":{bytes}}}", head(step))
             }
             EngineEvent::Resumed { step } => format!("{}}}", head(step)),
-            EngineEvent::LaneRetired { step, lane } => {
-                format!("{},\"lane\":{lane}}}", head(step))
-            }
-            EngineEvent::LaneSpilled { step, lane } => {
-                format!("{},\"lane\":{lane}}}", head(step))
-            }
         }
     }
 
@@ -336,14 +307,6 @@ impl EngineEvent {
                 bytes: scan_u64(line, "\"bytes\"")?,
             },
             "resumed" => EngineEvent::Resumed { step },
-            "lane_retired" => EngineEvent::LaneRetired {
-                step,
-                lane: scan_u64(line, "\"lane\"")?,
-            },
-            "lane_spilled" => EngineEvent::LaneSpilled {
-                step,
-                lane: scan_u64(line, "\"lane\"")?,
-            },
             _ => return None,
         })
     }
@@ -363,7 +326,6 @@ fn parse_law(name: &str) -> Option<LawMode> {
     Some(match name {
         "sequence" => LawMode::SequenceExpansion,
         "contingency" => LawMode::Contingency,
-        "multiround" => LawMode::MultiRound,
         _ => return None,
     })
 }
@@ -491,7 +453,7 @@ impl TrajectorySampler {
 /// optionally drives a [`TrajectorySampler`].
 ///
 /// Attach with [`CountSimulation::set_observer`]
-/// (crate::CountSimulation::set_observer) (or the wide-engine equivalent),
+/// (crate::CountSimulation::set_observer),
 /// read through [`CountSimulation::observer`]
 /// (crate::CountSimulation::observer), detach with
 /// [`CountSimulation::take_observer`]
@@ -598,11 +560,10 @@ impl EngineObserver {
     }
 }
 
-/// One unified metrics snapshot of a count or wide simulation: population,
+/// One unified metrics snapshot of a count simulation: population,
 /// progress, tier usage, and the per-tier stats the engine previously
 /// reported only through `jump_stats()` / `batch_stats()`. Obtained from
-/// [`CountSimulation::metrics`](crate::CountSimulation::metrics) or
-/// [`WideSimulation::metrics`](crate::WideSimulation::metrics); always
+/// [`CountSimulation::metrics`](crate::CountSimulation::metrics); always
 /// available — the observer-only extras (event counts, timeline) are
 /// populated when an observer is attached.
 #[derive(Debug, Clone, PartialEq)]
@@ -613,7 +574,7 @@ pub struct EngineMetrics {
     pub steps: u64,
     /// `steps / n`.
     pub parallel_time: f64,
-    /// Live support (states with nonzero count; wide: maximum over lanes).
+    /// Live support (states with nonzero count).
     pub support: u64,
     /// Distinct states interned over the whole execution.
     pub distinct_states_seen: u64,
@@ -901,7 +862,7 @@ mod tests {
             EngineEvent::BatchEpisode {
                 step: 700,
                 law: LawMode::Contingency,
-                segments: 2,
+                segments: 1,
                 bulk: 633,
                 collision: true,
                 walked: false,
@@ -916,8 +877,6 @@ mod tests {
                 bytes: 2048,
             },
             EngineEvent::Resumed { step: 5000 },
-            EngineEvent::LaneRetired { step: 777, lane: 3 },
-            EngineEvent::LaneSpilled { step: 778, lane: 0 },
         ]
     }
 
@@ -987,7 +946,7 @@ mod tests {
             support: 130,
             distinct_states_seen: 280,
             active_tier: EngineTier::Batch,
-            law: LawMode::MultiRound,
+            law: LawMode::Contingency,
             tier_usage: TierUsage {
                 reference: 1,
                 compiled: 2,

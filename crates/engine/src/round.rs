@@ -12,7 +12,7 @@
 //! descending-count order maintenance the engines use for draw
 //! decompositions and compaction alike.
 //!
-//! Three laws, selected by [`LawMode`] in
+//! Two laws, selected by [`LawMode`] in
 //! [`EngineConfig`](crate::EngineConfig):
 //!
 //! * [`SequenceExpansionLaw`] (default) — the historical round: expand both
@@ -29,22 +29,9 @@
 //!   than it saves. **Law-equal**, not bit-identical: the executions equal
 //!   the reference tier in distribution (chi-square-pinned by
 //!   `tests/round_law.rs`) but consume the RNG stream differently.
-//! * [`MultiRoundLaw`] — contingency segments chained through up to
-//!   [`MULTI_ROUND_SEGMENTS`] collisions per episode, keeping the
-//!   fresh/used urn split alive across segments so the `O(#states)`
-//!   begin/merge bookkeeping amortizes over several rounds. The
-//!   continuation run-length law conditions on the agents already used
-//!   (`collision_free_prefix_from`); each segment's bulk is disjoint from
-//!   everything executed since the episode began, so segment interactions
-//!   still commute and the two-urn collision resolution stays exact.
-//!   **Law-equal**; the win is at small `n`, where `√n` rounds are short
-//!   and per-round fixed costs dominate.
 //!
-//! The wide engine's `WideTierPolicy::LawOnly` builds on the same
-//! machinery: one shared run-length inversion for the whole lane set (see
-//! [`invert_prefix`]) plus per-lane contingency rounds, trading per-lane
-//! bit-identity for amortized sampling — the cross-lane analogue of the
-//! scalar law modes.
+//! Law tag 2 is retired: snapshots carrying it are refused with
+//! [`SnapshotError::UnsupportedLaw`](crate::SnapshotError::UnsupportedLaw).
 
 use crate::batch::BatchStats;
 use pp_rand::{Hypergeometric, Rng64};
@@ -63,20 +50,17 @@ pub enum LawMode {
     /// Per-ordered-pair contingency table, shuffle-free when the support
     /// is small; falls back to sequence expansion per segment otherwise.
     Contingency,
-    /// Contingency segments chained across several collisions per
-    /// episode, amortizing round setup at small `n`.
-    MultiRound,
 }
 
 impl LawMode {
     /// Stable wire encoding, shared by engine snapshots and checkpoint
-    /// fingerprints (additions append; values never change).
+    /// fingerprints (additions append; values never change, and the
+    /// retired tag 2 is never reused).
     #[must_use]
     pub fn tag(self) -> u8 {
         match self {
             LawMode::SequenceExpansion => 0,
             LawMode::Contingency => 1,
-            LawMode::MultiRound => 2,
         }
     }
 
@@ -85,7 +69,6 @@ impl LawMode {
         Some(match tag {
             0 => LawMode::SequenceExpansion,
             1 => LawMode::Contingency,
-            2 => LawMode::MultiRound,
             _ => return None,
         })
     }
@@ -96,16 +79,9 @@ impl std::fmt::Display for LawMode {
         f.write_str(match self {
             LawMode::SequenceExpansion => "sequence",
             LawMode::Contingency => "contingency",
-            LawMode::MultiRound => "multiround",
         })
     }
 }
-
-/// Maximal collision-free segments chained into one [`MultiRoundLaw`]
-/// episode. Segment lengths shrink as the used urn grows (the continuation
-/// law conditions on every agent touched since `begin`), so chaining far
-/// past this point buys little bulk for full per-segment sampling cost.
-pub(crate) const MULTI_ROUND_SEGMENTS: u32 = 6;
 
 /// A contingency segment falls back to sequence expansion when the table
 /// could cost more than this many conditional draws per bulk interaction —
@@ -119,9 +95,8 @@ pub(crate) const CELL_FALLBACK_FACTOR: u64 = 1;
 const ROW_WEIGHTED_CUTOFF: u64 = 4;
 
 // ---------------------------------------------------------------------------
-// Descending-count order maintenance (shared by the batch scratch, the
-// scalar engine's state compaction, and the wide engine's lane/global
-// compaction).
+// Descending-count order maintenance (shared by the batch scratch and the
+// engine's state compaction).
 // ---------------------------------------------------------------------------
 
 /// The canonical visiting order of the engines: the total order
@@ -192,8 +167,7 @@ pub(crate) fn collision_free_prefix_from<R: Rng64 + ?Sized>(
 
 /// The deterministic inversion behind [`collision_free_prefix_from`]:
 /// walks the survival product for the single uniform `u`. Split out so the
-/// wide engine's law-only mode can draw *one* uniform for the whole lane
-/// set and invert it against each lane's budget.
+/// tests can pin it at crafted uniforms.
 ///
 /// The product multiplies factors in `[0, 1]`, so it is monotone
 /// non-increasing even in f64, and it reaches exact `0.0` once the fresh
@@ -523,8 +497,7 @@ impl BatchScratch {
     }
 
     /// Adds `k` agents in state `id` to the used urn at once — the bulk
-    /// apply of contingency cells and the wide engine's
-    /// category-deduplicated rounds (`k` identical interactions collapse to
+    /// apply of contingency cells (`k` identical interactions collapse to
     /// one cache lookup and one urn update).
     pub(crate) fn add_used_n(&mut self, id: usize, k: u64) {
         self.used[id] += k;
@@ -556,18 +529,15 @@ pub(crate) enum SegmentDraw {
 }
 
 /// One law for drawing a collision-free segment's interaction structure
-/// out of the fresh urn. The host (`CountSimulation::batch_episode` and
-/// the wide engine's law-only rounds) owns everything else: run lengths,
-/// the apply loop, collision resolution, urn merging.
+/// out of the fresh urn. The host (`CountSimulation::batch_episode`) owns
+/// everything else: run lengths, the apply loop, collision resolution, urn
+/// merging.
 ///
 /// Contract: `draw_segment` removes exactly `2·bulk` agents from the fresh
 /// urn and returns the representation it filled. With `walk` set the host
 /// needs a uniformly interleaved pair *sequence* (both sides shuffled), so
 /// every law must return [`SegmentDraw::Sequences`] there.
 pub(crate) trait RoundLaw {
-    /// Maximal collision-free segments one episode chains through.
-    const SEGMENTS: u32;
-
     /// Draws one segment's structure. See the trait docs for the
     /// contract.
     fn draw_segment<R: Rng64>(
@@ -583,8 +553,6 @@ pub(crate) trait RoundLaw {
 pub(crate) struct SequenceExpansionLaw;
 
 impl RoundLaw for SequenceExpansionLaw {
-    const SEGMENTS: u32 = 1;
-
     fn draw_segment<R: Rng64>(
         scratch: &mut BatchScratch,
         rng: &mut R,
@@ -613,8 +581,6 @@ impl RoundLaw for SequenceExpansionLaw {
 pub(crate) struct ContingencyLaw;
 
 impl RoundLaw for ContingencyLaw {
-    const SEGMENTS: u32 = 1;
-
     fn draw_segment<R: Rng64>(
         scratch: &mut BatchScratch,
         rng: &mut R,
@@ -642,23 +608,6 @@ impl RoundLaw for ContingencyLaw {
         stats.contingency_draws += draws;
         stats.shuffle_skips += 1;
         SegmentDraw::Cells
-    }
-}
-
-/// The multi-segment episode law (see the module docs).
-pub(crate) struct MultiRoundLaw;
-
-impl RoundLaw for MultiRoundLaw {
-    const SEGMENTS: u32 = MULTI_ROUND_SEGMENTS;
-
-    fn draw_segment<R: Rng64>(
-        scratch: &mut BatchScratch,
-        rng: &mut R,
-        bulk: u64,
-        walk: bool,
-        stats: &mut BatchStats,
-    ) -> SegmentDraw {
-        ContingencyLaw::draw_segment(scratch, rng, bulk, walk, stats)
     }
 }
 
@@ -1106,13 +1055,11 @@ mod tests {
 
     #[test]
     fn law_mode_tags_round_trip() {
-        for mode in [
-            LawMode::SequenceExpansion,
-            LawMode::Contingency,
-            LawMode::MultiRound,
-        ] {
+        for mode in [LawMode::SequenceExpansion, LawMode::Contingency] {
             assert_eq!(LawMode::from_tag(mode.tag()), Some(mode));
         }
+        // Tag 2 belonged to the retired multi-round law.
+        assert_eq!(LawMode::from_tag(2), None);
         assert_eq!(LawMode::from_tag(3), None);
     }
 }

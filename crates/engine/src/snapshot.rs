@@ -89,6 +89,12 @@ pub enum SnapshotError {
         /// Tag of the offending section.
         tag: u16,
     },
+    /// The snapshot selects a batch-tier round law this build does not
+    /// implement — e.g. tag 2, the retired multi-round law.
+    UnsupportedLaw {
+        /// The round-law tag found in the config section.
+        tag: u8,
+    },
     /// The bytes decoded, but describe an inconsistent simulation (count
     /// mismatches, out-of-range ids, duplicate states, invalid RNG state…).
     Corrupt(&'static str),
@@ -106,6 +112,12 @@ impl fmt::Display for SnapshotError {
             SnapshotError::ChecksumMismatch => f.write_str("snapshot checksum mismatch"),
             SnapshotError::BadSectionLength { tag } => {
                 write!(f, "snapshot section {tag} has a corrupted length")
+            }
+            SnapshotError::UnsupportedLaw { tag } => {
+                write!(
+                    f,
+                    "snapshot uses round-law tag {tag}, which this build does not implement"
+                )
             }
             SnapshotError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
         }

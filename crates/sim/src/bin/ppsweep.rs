@@ -62,7 +62,7 @@ usage: ppsweep --ns N,N,... --dir DIR [options]
   --ns N,N,...        population sizes (required)
   --seeds N           runs per size (default 32)
   --master SEED       master seed (default 42)
-  --lanes W           lane-bundle width (default: PP_SIM_LANES resolution)
+  --lanes W           jobs per claimed bundle (default 8; results do not depend on it)
   --max-steps M       per-run step budget, 0 = unbounded (default 0)
   --dir DIR           fabric run directory (required)
   --shards N          shard count for --spawn / --merge

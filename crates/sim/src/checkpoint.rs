@@ -8,23 +8,27 @@
 //! last journal append / snapshot; rerunning the same sweep with the same
 //! checkpoint directory picks up where it left off.
 //!
-//! # Journal format (`ppsweep v2`)
+//! # Journal format (`ppsweep v3`)
 //!
 //! The header line fingerprints the sweep parameters **and the execution
 //! mode**. Two record kinds follow:
 //!
-//! * `done <job> <0|1> <f64-bits-hex>` — one completed job (one lane).
-//! * `wide <start> <len>` — a lane-bundle marker: the `len` `done` records
-//!   of bundle `[start, start + len)` follow as one appended block.
+//! * `done <job> <0|1> <f64-bits-hex>` — one completed job.
+//! * `bundle <start> <len>` — a bundle marker: the `len` `done` records of
+//!   bundle `[start, start + len)` follow as one appended block.
 //!
-//! In the default lane-bundle mode (no snapshot interval) the unit of
-//! crash recovery is the **bundle**: each [`parallel_map`] worker runs a
-//! whole [`WideSimulation`] lane bundle and journals its block in a single
-//! buffered append. A bundle missing *any* lane record (e.g. its block was
-//! torn by a crash mid-append) reruns whole on resume — wide runs are
-//! deterministic, so rerun lanes rewrite identical records. The job limit
-//! is bundle-granular: pending bundles are taken until the planned fresh
-//! lanes reach the limit (overshooting by at most `lanes − 1`).
+//! In the default bundle mode (no snapshot interval) each [`parallel_map`]
+//! worker runs one bundle — its same-`n` jobs one after another, each a
+//! fresh election — and journals the bundle's block in a single buffered
+//! append, so the bundle is the unit of crash recovery. A bundle missing
+//! *any* record (e.g. its block was torn by a crash mid-append) reruns
+//! whole on resume; runs are deterministic, so rerun jobs rewrite identical
+//! records. The job limit is bundle-granular: pending bundles are taken
+//! until the planned fresh jobs reach the limit (overshooting by at most
+//! `lanes − 1`).
+//!
+//! A journal of another format version is refused (`InvalidData`), never
+//! merged.
 //!
 //! # Determinism contract
 //!
@@ -34,29 +38,28 @@
 //! job-index order, so every mean, variance, and quantile string downstream
 //! comes out byte-for-byte equal.
 //!
-//! With `snapshot_interval: None` each bundle is driven exactly like
-//! [`stabilization_sweep`] drives it, so the checkpointed sweep equals the
-//! plain sweep *at the same lane width* bit-for-bit too. With
-//! `snapshot_interval: Some(i)` jobs fall back to scalar single-lane
-//! [`CountSimulation`] runs driven in segments that end at fixed absolute
-//! step multiples of `i` (mid-job snapshots of a lane bundle would couple
-//! the lanes' recovery); segment boundaries are a function of the step
-//! counter alone, so a job resumed from a snapshot replays the same
-//! boundaries and stays bit-identical to the same job run without the kill
-//! *at the same interval*. The two modes sample the same law but are not
-//! bit-comparable to each other, so the mode (and, in bundle mode, the
-//! lane width) is part of the journal fingerprint, as is the batch tier's
-//! round law ([`crate::sweep_law_mode`], the `PP_SIM_LAW` override) —
-//! resuming under a different mode, width, or round law is an
-//! `InvalidData` error, not a silent law-only answer.
+//! With `snapshot_interval: None` every job is run exactly like
+//! [`stabilization_sweep`] runs it, so the checkpointed sweep equals the
+//! plain sweep bit-for-bit at every bundle width. With
+//! `snapshot_interval: Some(i)` jobs are driven in segments that end at
+//! fixed absolute step multiples of `i`; segment boundaries are a function
+//! of the step counter alone, so a job resumed from a snapshot replays the
+//! same boundaries and stays bit-identical to the same job run without the
+//! kill *at the same interval*. A segment boundary cuts a batch round short,
+//! so the two modes sample the same law but are not bit-comparable to each
+//! other: the mode is part of the journal fingerprint, as is the batch
+//! tier's round law ([`crate::sweep_law_mode`], the `PP_SIM_LAW` override)
+//! — resuming under a different mode or round law is an `InvalidData`
+//! error, not a silent law-only answer. The bundle width is not
+//! fingerprinted: it changes no result.
 //!
 //! [`stabilization_sweep`]: crate::stabilization_sweep
 //! [`parallel_map`]: crate::parallel_map
-//! [`WideSimulation`]: pp_engine::WideSimulation
 
-use crate::runner::{aggregate_points, run_bundle, sweep_bundles, sweep_jobs, SweepPoint};
-use pp_engine::{CountSimulation, EngineConfig, LawMode, LeaderElection, SnapshotState};
-use pp_rand::Xoshiro256PlusPlus;
+use crate::runner::{
+    aggregate_points, fresh_engine, run_bundle, sweep_bundles, sweep_jobs, SweepPoint,
+};
+use pp_engine::{CountSimulation, LawMode, LeaderElection, SnapshotState};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, Write};
@@ -67,8 +70,10 @@ use std::sync::Mutex;
 pub(crate) const JOURNAL_FILE: &str = "journal.txt";
 
 /// Journal header prefix; the version is part of the format. `v2` added
-/// lane-bundle blocks and the execution mode in the fingerprint.
-pub(crate) const HEADER_PREFIX: &str = "ppsweep v2";
+/// bundle blocks and the execution mode in the fingerprint; `v3` made every
+/// job an independent election, so results no longer depend on the bundle
+/// width.
+pub(crate) const HEADER_PREFIX: &str = "ppsweep v3";
 
 /// Where and how a sweep checkpoints.
 #[derive(Debug, Clone)]
@@ -78,16 +83,15 @@ pub struct CheckpointConfig {
     pub dir: PathBuf,
     /// Snapshot in-flight jobs every this many simulation steps (rounded to
     /// the next absolute multiple). `None` — the default — journals only
-    /// completed lane bundles, which keeps the sweep bit-identical to the
-    /// uncheckpointed one; `Some` falls back to scalar single-lane jobs so
+    /// completed bundles, which keeps the sweep bit-identical to the
+    /// uncheckpointed one; `Some` runs and journals jobs one at a time so
     /// each snapshot captures exactly one run.
     pub snapshot_interval: Option<u64>,
     /// Stop after completing this many *fresh* (not journaled) jobs and
     /// report [`SweepStatus::Suspended`]. `None` runs to completion. Used to
     /// bound a shard's work — and by the tests to simulate crashes at
-    /// deterministic points. In lane-bundle mode the limit is
-    /// bundle-granular: the last bundle taken may overshoot it by up to
-    /// `lanes − 1` jobs.
+    /// deterministic points. In bundle mode the limit is bundle-granular:
+    /// the last bundle taken may overshoot it by up to `lanes − 1` jobs.
     pub job_limit: Option<usize>,
 }
 
@@ -125,13 +129,11 @@ pub enum SweepStatus {
 }
 
 /// [`crate::stabilization_sweep`] with crash recovery: journals every
-/// completed lane bundle under `ckpt.dir` and resumes from whatever a
-/// previous invocation left there. The lane width is
-/// [`crate::sweep_lane_width`] (the `PP_SIM_LANES` override), matching the
-/// plain sweep's.
+/// completed bundle under `ckpt.dir` and resumes from whatever a previous
+/// invocation left there. The bundle width is [`crate::sweep_lane_width`].
 ///
 /// See the [module docs](self) for the determinism contract. The sweep
-/// parameters — including the execution mode and lane width — are
+/// parameters — including the execution mode and round law — are
 /// fingerprinted into the journal header; reusing a checkpoint directory
 /// with different parameters is an error (`InvalidData`), not a silent
 /// wrong answer.
@@ -164,10 +166,9 @@ where
     )
 }
 
-/// [`stabilization_sweep_checkpointed`] with an explicit lane-bundle width
-/// (ignoring `PP_SIM_LANES`), bit-identical to
-/// [`crate::stabilization_sweep_wide`] at the same width. `lanes` is
-/// ignored in snapshot-interval mode (scalar single-lane jobs).
+/// [`stabilization_sweep_checkpointed`] with an explicit bundle width: the
+/// journal block and job-limit granule. Results do not depend on it; it is
+/// ignored in snapshot-interval mode (jobs are journaled one at a time).
 ///
 /// # Errors
 ///
@@ -189,9 +190,15 @@ where
     F: Fn(usize) -> P + Sync,
 {
     let jobs = sweep_jobs(ns, seeds, master_seed);
-    let lane_mode = ckpt.snapshot_interval.is_none().then_some(lanes);
     let law = crate::sweep_law_mode();
-    let fp = fingerprint(ns, seeds, master_seed, max_steps, lane_mode, law);
+    let fp = fingerprint(
+        ns,
+        seeds,
+        master_seed,
+        max_steps,
+        ckpt.snapshot_interval.is_some(),
+        law,
+    );
     std::fs::create_dir_all(&ckpt.dir)?;
     let journal_path = ckpt.dir.join(JOURNAL_FILE);
     let mut done = load_journal(&journal_path, fp, jobs.len())?;
@@ -241,10 +248,10 @@ where
                 if planned >= limit {
                     break;
                 }
-                // A bundle with any lane missing reruns whole: lanes share
-                // one lockstep execution, so there is no per-lane resume —
-                // but the rerun is deterministic and rewrites identical
-                // records for lanes whose block was partially journaled.
+                // A bundle with any job missing reruns whole: the bundle is
+                // the journal granule, and the rerun is deterministic, so
+                // it rewrites identical records for jobs whose block was
+                // partially journaled.
                 planned += bundle.seeds.len();
                 to_run.push(bundle);
             }
@@ -259,9 +266,9 @@ where
                 let fresh = crate::parallel_map(&to_run, |bundle| {
                     let results = run_bundle(&make, bundle.n, &bundle.seeds, max_steps, law);
                     // One buffered append per bundle: the bundle marker plus
-                    // its lane records land in a single write, so a crash
+                    // its job records land in a single write, so a crash
                     // tears at most the final block (tolerated on load).
-                    let mut block = format!("wide {} {}\n", bundle.start, bundle.seeds.len());
+                    let mut block = format!("bundle {} {}\n", bundle.start, bundle.seeds.len());
                     for (k, &(converged, time)) in results.iter().enumerate() {
                         let _ = writeln!(
                             block,
@@ -303,9 +310,9 @@ where
     })
 }
 
-/// Runs one scalar (snapshot-interval mode) sweep job, resuming from its
-/// snapshot file when a readable one exists and writing fresh snapshots at
-/// every interval boundary.
+/// Runs one snapshot-interval mode sweep job, resuming from its snapshot
+/// file when a readable one exists and writing fresh snapshots at every
+/// interval boundary.
 #[allow(clippy::too_many_arguments)]
 fn run_job<P, F>(
     make: &F,
@@ -328,14 +335,7 @@ where
     let resumed = std::fs::read(snapshot_path)
         .ok()
         .and_then(|bytes| CountSimulation::resume(make(n), &bytes).ok());
-    let mut sim = resumed.unwrap_or_else(|| {
-        let config = EngineConfig {
-            law_mode: law,
-            ..EngineConfig::default()
-        };
-        CountSimulation::with_config(make(n), n, Xoshiro256PlusPlus::seed_from_u64(seed), config)
-            .expect("population sizes are >= 2 by construction")
-    });
+    let mut sim = resumed.unwrap_or_else(|| fresh_engine(make, n, seed, law));
 
     let interval = interval.max(1);
     loop {
@@ -367,18 +367,17 @@ pub(crate) fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
 }
 
 /// FNV-1a 64 over the sweep parameters plus the execution mode: the
-/// journal's compatibility check. `lane_mode` is `Some(width)` in
-/// lane-bundle mode and `None` in snapshot-interval (scalar) mode — the
-/// two modes' results agree in law but not bit-for-bit, and neither do
-/// bundle runs at different widths or under different round laws (`law` is
-/// the `PP_SIM_LAW` resolution), so mixing them in one journal must be
+/// journal's compatibility check. `snapshots` is whether jobs run in
+/// snapshot-interval segments — the two modes' results agree in law but
+/// not bit-for-bit, and neither do runs under different round laws (`law`
+/// is the `PP_SIM_LAW` resolution), so mixing them in one journal must be
 /// rejected.
 pub(crate) fn fingerprint(
     ns: &[usize],
     seeds: u64,
     master_seed: u64,
     max_steps: u64,
-    lane_mode: Option<usize>,
+    snapshots: bool,
     law: LawMode,
 ) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -395,13 +394,7 @@ pub(crate) fn fingerprint(
     eat(seeds);
     eat(master_seed);
     eat(max_steps);
-    match lane_mode {
-        None => eat(0),
-        Some(width) => {
-            eat(1);
-            eat(width as u64);
-        }
-    }
+    eat(u64::from(snapshots));
     eat(u64::from(law.tag()));
     h
 }
@@ -439,10 +432,10 @@ pub(crate) fn load_journal(
             Some((index, result)) => {
                 done.insert(index, result);
             }
-            // Bundle markers delimit appended blocks; the lane results live
+            // Bundle markers delimit appended blocks; the job results live
             // in the `done` records that follow, so the marker itself
             // carries no data — it is validated and skipped. A bundle whose
-            // block was cut short simply ends up with missing lane records
+            // block was cut short simply ends up with missing job records
             // and reruns.
             None if parse_bundle_marker(line, job_count).is_some() => {}
             // Only the final record may be torn; anything else is corruption.
@@ -478,11 +471,11 @@ fn parse_record(line: &str, job_count: usize) -> Option<(usize, (bool, f64))> {
     Some((index, (converged, time)))
 }
 
-/// Parses `wide <start> <len>`; `None` on any malformation, including a
+/// Parses `bundle <start> <len>`; `None` on any malformation, including a
 /// bundle range that overruns the job list.
 fn parse_bundle_marker(line: &str, job_count: usize) -> Option<()> {
     let mut fields = line.split_ascii_whitespace();
-    if fields.next()? != "wide" {
+    if fields.next()? != "bundle" {
         return None;
     }
     let start: usize = fields.next()?.parse().ok()?;
@@ -587,8 +580,7 @@ mod tests {
 
     #[test]
     fn uninterrupted_checkpointed_sweep_matches_plain_sweep() {
-        // Both sides read the same PP_SIM_LANES default, so the bundle
-        // compositions — and therefore every draw — coincide.
+        // Every job is the same fresh election on both sides.
         let scratch = Scratch::new("plain_equiv");
         let ns = [16usize, 32];
         let plain = crate::stabilization_sweep(|_| Fratricide, &ns, 4, 11, u64::MAX);
@@ -607,8 +599,7 @@ mod tests {
         let scratch = Scratch::new("kill_resume");
         let ns = [16usize, 24];
         let (seeds, master, width) = (5u64, 77u64, 2);
-        let plain =
-            crate::stabilization_sweep_wide(|_| Fratricide, &ns, seeds, master, u64::MAX, width);
+        let plain = crate::stabilization_sweep(|_| Fratricide, &ns, seeds, master, u64::MAX);
 
         // Crash after every 3 fresh jobs until the sweep completes. At
         // width 2 each size's 5 seeds bundle as [2, 2, 1]; the
@@ -724,23 +715,33 @@ mod tests {
 
     #[test]
     fn journal_rejects_mismatched_execution_modes() {
-        // Bundle-mode results at different widths — or scalar
-        // snapshot-interval results — agree in law but not bit-for-bit, so
-        // a journal written under one execution mode must refuse the others.
+        // Snapshot-interval results agree with bundle-mode results in law
+        // but not bit-for-bit, so a journal written under one execution
+        // mode must refuse the other. The bundle width changes no result,
+        // so a journal resumes at any width.
         let scratch = Scratch::new("mode_mismatch");
         let ckpt = CheckpointConfig::new(&scratch.0);
-        stabilization_sweep_checkpointed_wide(|_| Fratricide, &[16], 2, 1, u64::MAX, &ckpt, 2)
+        let mut limited = ckpt.clone();
+        limited.job_limit = Some(1);
+        stabilization_sweep_checkpointed_wide(|_| Fratricide, &[16], 4, 1, u64::MAX, &limited, 2)
             .expect("sweep checkpoints");
-        let err =
-            stabilization_sweep_checkpointed_wide(|_| Fratricide, &[16], 2, 1, u64::MAX, &ckpt, 3)
-                .expect_err("width mismatch must error");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let status =
+            stabilization_sweep_checkpointed_wide(|_| Fratricide, &[16], 4, 1, u64::MAX, &ckpt, 3)
+                .expect("another width resumes the journal");
+        let SweepStatus::Complete { points, fresh_jobs } = status else {
+            panic!("no job limit: sweep must complete");
+        };
+        // Width 2 journaled jobs 0 and 1; width-3 bundles [0, 3) and [3, 4)
+        // are both incomplete, so all four jobs run.
+        assert_eq!(fresh_jobs, 4);
+        let plain = crate::stabilization_sweep(|_| Fratricide, &[16], 4, 1, u64::MAX);
+        assert_points_bit_identical(&plain, &points);
         let mut scalar = ckpt.clone();
         scalar.snapshot_interval = Some(512);
         let err = stabilization_sweep_checkpointed_wide(
             |_| Fratricide,
             &[16],
-            2,
+            4,
             1,
             u64::MAX,
             &scalar,
@@ -755,11 +756,10 @@ mod tests {
         // Different round laws consume the RNG differently, so their
         // journals are not interchangeable — the law tag must perturb the
         // fingerprint in both execution modes.
-        for lane_mode in [Some(8), None] {
-            let base = fingerprint(&[16], 2, 1, u64::MAX, lane_mode, LawMode::SequenceExpansion);
-            for law in [LawMode::Contingency, LawMode::MultiRound] {
-                assert_ne!(base, fingerprint(&[16], 2, 1, u64::MAX, lane_mode, law));
-            }
+        for snapshots in [false, true] {
+            let base = fingerprint(&[16], 2, 1, u64::MAX, snapshots, LawMode::SequenceExpansion);
+            let other = fingerprint(&[16], 2, 1, u64::MAX, snapshots, LawMode::Contingency);
+            assert_ne!(base, other);
         }
     }
 
@@ -784,14 +784,14 @@ mod tests {
         };
         // The torn record was discarded, so its job reran.
         assert_eq!(fresh_jobs, 1);
-        let plain = crate::stabilization_sweep_wide(|_| Fratricide, &[16], 3, 9, u64::MAX, 1);
+        let plain = crate::stabilization_sweep(|_| Fratricide, &[16], 3, 9, u64::MAX);
         assert_points_bit_identical(&plain, &points);
     }
 
     #[test]
     fn torn_bundle_block_reruns_the_whole_bundle() {
-        // Cut a width-2 bundle's block after its first lane record: the
-        // bundle is incomplete, so both of its lanes rerun — and, being
+        // Cut a width-2 bundle's block after its first job record: the
+        // bundle is incomplete, so both of its jobs rerun — and, being
         // deterministic, land on the same points as the clean sweep.
         let scratch = Scratch::new("torn_bundle");
         let ckpt = CheckpointConfig::new(&scratch.0);
@@ -801,7 +801,7 @@ mod tests {
             .expect("sweep checkpoints");
         let journal = scratch.0.join(JOURNAL_FILE);
         let text = std::fs::read_to_string(&journal).unwrap();
-        // header + "wide 0 2" + two done lines: drop the final done line.
+        // header + "bundle 0 2" + two done lines: drop the final done line.
         let mut lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4, "unexpected journal shape:\n{text}");
         lines.pop();
@@ -813,7 +813,7 @@ mod tests {
             panic!("sweep must complete");
         };
         assert_eq!(fresh_jobs, 4, "the cut bundle plus the remaining one");
-        let plain = crate::stabilization_sweep_wide(|_| Fratricide, &[16], 4, 13, u64::MAX, 2);
+        let plain = crate::stabilization_sweep(|_| Fratricide, &[16], 4, 13, u64::MAX);
         assert_points_bit_identical(&plain, &points);
     }
 
@@ -859,14 +859,15 @@ mod tests {
 
     #[test]
     fn bundle_marker_parser_rejects_malformed_lines() {
-        assert!(parse_bundle_marker("wide 0 2", 4).is_some());
-        assert!(parse_bundle_marker("wide 2 2", 4).is_some());
+        assert!(parse_bundle_marker("bundle 0 2", 4).is_some());
+        assert!(parse_bundle_marker("bundle 2 2", 4).is_some());
         for line in [
-            "wide 3 2",   // overruns the job list (job_count 4)
-            "wide 0 0",   // empty bundle
-            "wide 0",     // missing length
-            "wide 0 2 x", // trailing field
-            "done 0 2",   // wrong verb
+            "bundle 3 2",   // overruns the job list (job_count 4)
+            "bundle 0 0",   // empty bundle
+            "bundle 0",     // missing length
+            "bundle 0 2 x", // trailing field
+            "wide 0 2",     // the retired v2 marker
+            "done 0 2",     // wrong verb
             "",
         ] {
             assert!(parse_bundle_marker(line, 4).is_none(), "accepted `{line}`");

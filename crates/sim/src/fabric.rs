@@ -12,14 +12,14 @@
 //! ```text
 //! dir/
 //!   claims/<start>.claim   cross-process bundle claims (create_new is atomic)
-//!   shard_<k>/journal.txt  ppsweep v2 journal of the jobs shard k ran
+//!   shard_<k>/journal.txt  ppsweep v3 journal of the jobs shard k ran
 //!   shard_<k>/manifest.json  machine-readable shard exit summary
 //!   shard_<k>/progress.txt   "done total" snapshot for live aggregation
 //!   journal.txt            canonical merged journal (written by the merge)
 //! ```
 //!
 //! Work is claimed at **bundle** granularity ([`sweep_bundles`]' same-`n`
-//! lane bundles): a worker that wants a bundle atomically creates
+//! blocks of jobs): a worker that wants a bundle atomically creates
 //! `claims/<start>.claim` and runs it only on success, so shards never
 //! duplicate work — *dynamic range claiming*, not static partitioning. The
 //! job space's heavy tail (stabilization times straggle far past their
@@ -31,9 +31,9 @@
 //!
 //! # Merge contract
 //!
-//! Bundle results are deterministic functions of
-//! `(protocol, n, seeds, lanes, law, max_steps)` — never of which process,
-//! thread, or retry round ran them — and shard journals record exact `f64`
+//! Every job is one fresh election whose result is a deterministic function
+//! of `(protocol, n, seed, law, max_steps)` — never of which process,
+//! thread, bundle, or retry round ran it — and shard journals record exact `f64`
 //! bit patterns. The merge unions the shard journals (refusing mismatched
 //! fingerprints and, defensively, conflicting duplicates), then renders the
 //! *canonical journal*: bundle blocks in bundle-start order, a pure
@@ -41,7 +41,9 @@
 //! [`crate::stabilization_sweep`] traverses it, and [`Summary`] retains raw
 //! values so in-order accumulation is bit-exact. Sequential run, 1 shard,
 //! 40 shards, crashed-and-resumed shards: same bytes, same checksums
-//! ([`Summary::checksum`] is the witness surfaced in [`points_table`]).
+//! ([`Summary::checksum`] is the witness surfaced in [`points_table`]). The
+//! bundle width only shapes the canonical journal's block markers; the
+//! points table is the same at every width.
 //!
 //! # Crash recovery
 //!
@@ -62,8 +64,8 @@ use crate::checkpoint::{
     JOURNAL_FILE,
 };
 use crate::runner::{
-    aggregate_points, cost_order, run_bundle, sweep_bundles, sweep_flat_wide, worker_count,
-    SweepBundle, SweepPoint,
+    aggregate_points, cost_order, run_bundle, sweep_bundles, sweep_flat, worker_count, SweepBundle,
+    SweepPoint,
 };
 use pp_engine::LeaderElection;
 use pp_stats::Table;
@@ -105,22 +107,23 @@ pub struct FabricSpec {
     pub master_seed: u64,
     /// Per-run step budget (`u64::MAX` for unbounded).
     pub max_steps: u64,
-    /// Lane-bundle width. Explicit — not the `PP_SIM_LANES` resolution — so
-    /// every process of a run agrees on bundle composition.
+    /// Bundle width: the claim and journal granule. Every process of a run
+    /// must agree on it so claims name the same bundles; results do not
+    /// depend on it.
     pub lanes: usize,
 }
 
 impl FabricSpec {
     /// The run's journal fingerprint: the checkpoint fingerprint of the
-    /// grid (which covers the lane width and round law) extended over the
-    /// protocol name with the same FNV-1a step.
+    /// grid (which covers the round law, not the bundle width) extended over
+    /// the protocol name with the same FNV-1a step.
     pub fn fingerprint(&self) -> u64 {
         let mut h = fingerprint(
             &self.ns,
             self.seeds,
             self.master_seed,
             self.max_steps,
-            Some(self.lanes),
+            false,
             crate::sweep_law_mode(),
         );
         for b in self.protocol.bytes() {
@@ -266,7 +269,8 @@ where
     let journaled = done.len();
     write_progress(&my_dir, journaled, total)?;
 
-    let order = cost_order(&bundles);
+    let sizes: Vec<usize> = bundles.iter().map(|b| b.n).collect();
+    let order = cost_order(&sizes);
     let journal = Mutex::new(open_journal_for_append(&journal_path, fp)?);
     let cursor = AtomicUsize::new(0);
     let fresh = AtomicUsize::new(0);
@@ -300,7 +304,7 @@ where
                     // One buffered append per bundle, exactly like the
                     // checkpointed sweep: a crash tears at most the final
                     // block, which the loader discards and the retry reruns.
-                    let mut block = format!("wide {} {}\n", bundle.start, bundle.seeds.len());
+                    let mut block = format!("bundle {} {}\n", bundle.start, bundle.seeds.len());
                     for (j, &(converged, time)) in results.iter().enumerate() {
                         let _ = writeln!(
                             block,
@@ -310,12 +314,14 @@ where
                             time.to_bits()
                         );
                     }
-                    {
-                        let mut file = journal.lock().expect("journal writers do not panic");
-                        file.write_all(block.as_bytes())
-                            .and_then(|()| file.flush())
-                            .expect("shard journal append failed");
-                    }
+                    // The progress snapshot is rewritten under the journal
+                    // lock too: writers share one temporary file, and
+                    // serialized rewrites land in count order, so the last
+                    // one standing is the shard's final count.
+                    let mut file = journal.lock().expect("journal writers do not panic");
+                    file.write_all(block.as_bytes())
+                        .and_then(|()| file.flush())
+                        .expect("shard journal append failed");
                     let so_far =
                         fresh.fetch_add(bundle.seeds.len(), Ordering::Relaxed) + bundle.seeds.len();
                     let _ = write_progress(&my_dir, journaled + so_far, total);
@@ -520,13 +526,12 @@ where
     F: Fn(usize) -> P + Sync,
 {
     std::fs::create_dir_all(dir)?;
-    let flat = sweep_flat_wide(
+    let flat = sweep_flat(
         &make,
         &spec.ns,
         spec.seeds,
         spec.master_seed,
         spec.max_steps,
-        spec.lanes,
     );
     write_atomically(
         &dir.join(JOURNAL_FILE),
@@ -536,14 +541,14 @@ where
 }
 
 /// Renders the canonical journal of a fully-known job list: the `ppsweep
-/// v2` header plus one bundle block per [`sweep_bundles`] entry, in
+/// v3` header plus one bundle block per [`sweep_bundles`] entry, in
 /// bundle-start order. A pure function of the results — which process ran
 /// which bundle, in what order, across how many crashes, leaves no trace —
 /// so every complete run of the same spec renders the same bytes.
 fn canonical_journal(spec: &FabricSpec, fp: u64, flat: &[(bool, f64)]) -> String {
     let mut text = format!("{HEADER_PREFIX} {fp:016x}\n");
     for bundle in spec.bundles() {
-        let _ = writeln!(text, "wide {} {}", bundle.start, bundle.seeds.len());
+        let _ = writeln!(text, "bundle {} {}", bundle.start, bundle.seeds.len());
         for k in 0..bundle.seeds.len() {
             let (converged, time) = flat[bundle.start + k];
             let _ = writeln!(
@@ -770,5 +775,31 @@ mod tests {
         // A shard with no snapshot contributes nothing rather than erroring.
         let (done_two, total_two) = aggregate_progress(&dir.0, 2);
         assert_eq!((done_two, total_two), (done, total));
+    }
+
+    #[test]
+    fn progress_snapshot_ends_at_the_shard_total() {
+        // Many tiny bundles keep the worker threads journaling at the same
+        // time. Progress rewrites that raced each other through the shared
+        // temporary file could land out of order and leave a stale count;
+        // the last rewrite standing must be the shard's final count, in
+        // every round.
+        let spec = FabricSpec {
+            protocol: "fratricide".into(),
+            ns: vec![8],
+            seeds: 48,
+            master_seed: 3,
+            max_steps: u64::MAX,
+            lanes: 1,
+        };
+        for round in 0..200 {
+            let dir = Scratch::new(&format!("progress_race_{round}"));
+            run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, None).expect("worker runs");
+            assert_eq!(
+                aggregate_progress(&dir.0, 1),
+                (spec.total_jobs(), spec.total_jobs()),
+                "round {round}"
+            );
+        }
     }
 }

@@ -1,21 +1,21 @@
 //! Parallel execution of embarrassingly parallel experiment jobs.
 //!
-//! Two levels of parallelism compose here: [`parallel_map`] fans jobs out
-//! across worker **threads**, and [`stabilization_sweep`] packs same-`n`
-//! seeds into wide **lane bundles** (one [`WideSimulation`] advancing many
-//! seeds in lockstep through a shared pair cache) so each thread's job
-//! amortizes compilation, tier reviews, and sampling across its whole
-//! bundle. Both knobs have env overrides for reproducible benchmarking:
-//! `PP_SIM_THREADS` pins the worker count and `PP_SIM_LANES` the lanes per
-//! bundle. A third override, `PP_SIM_LAW`, selects the batch tier's
-//! [round law](pp_engine::LawMode) (`sequence` / `contingency` /
-//! `multiround`) for every engine a sweep constructs — law-equivalent
-//! execution modes, so measured distributions agree while RNG streams (and
-//! throughput) differ.
+//! [`parallel_map`] fans jobs out across worker **threads**. Every sweep job
+//! is one whole election on a fresh [`CountSimulation`] seeded from the job's
+//! own seed ([`run_election`]), so a job's result is a function of
+//! `(n, seed)` alone — never of the thread that ran it, the jobs before it,
+//! or how jobs were grouped. Same-`n` **bundles** of jobs survive only as a
+//! unit of bookkeeping: the sweep fabric's claims and the journal blocks of
+//! the checkpointed sweep ([`sweep_lane_width`] is their default width).
+//!
+//! Two env overrides serve reproducible benchmarking: `PP_SIM_THREADS` pins
+//! the worker count, and `PP_SIM_LAW` selects the batch tier's
+//! [round law](pp_engine::LawMode) (`sequence` / `contingency`) for every
+//! engine a sweep constructs — law-equivalent execution modes, so measured
+//! distributions agree while RNG streams (and throughput) differ.
 
 use pp_engine::{
-    CountSimulation, EngineConfig, LawMode, LeaderElection, RunOutcome, Simulation,
-    UniformScheduler, WideSimulation, WideTierPolicy,
+    CountSimulation, EngineConfig, LawMode, LeaderElection, Simulation, UniformScheduler,
 };
 use pp_rand::{SeedSequence, Xoshiro256PlusPlus};
 use pp_stats::Summary;
@@ -28,12 +28,8 @@ use std::time::Instant;
 /// style, rather than erroring).
 const MAX_WORKERS: usize = 1024;
 
-/// Hard cap on the `PP_SIM_LANES` override.
-const MAX_LANES: usize = 64;
-
-/// Default lanes per wide sweep bundle. Eight keeps the SoA count rows
-/// within one cache line while the per-seed win from sharing the pair
-/// cache and amortizing reviews has already saturated.
+/// Default jobs per bundle: the sweep fabric's claim granule and the
+/// checkpointed sweep's journal block.
 const DEFAULT_LANES: usize = 8;
 
 /// `PP_SIM_THREADS` resolution: a parseable override is clamped to
@@ -57,37 +53,27 @@ pub(crate) fn worker_count(jobs: usize) -> usize {
     worker_override(threads.as_deref().ok(), detected).min(jobs.max(1))
 }
 
-/// `PP_SIM_LANES` resolution: parseable overrides clamp to
-/// `1..=MAX_LANES`; anything else is the default width.
-fn lane_override(raw: Option<&str>) -> usize {
-    match raw.and_then(|v| v.trim().parse::<usize>().ok()) {
-        Some(v) => v.clamp(1, MAX_LANES),
-        None => DEFAULT_LANES,
-    }
-}
-
-/// Lanes per wide sweep bundle: the `PP_SIM_LANES` override (clamped to
-/// `1..=64`), default 8.
+/// Default bundle width: how many same-`n` jobs the sweep fabric claims at
+/// once and the checkpointed sweep journals as one block. Bundling is
+/// bookkeeping only — every job runs alone, so results do not depend on it.
 pub fn sweep_lane_width() -> usize {
-    let lanes = std::env::var("PP_SIM_LANES");
-    lane_override(lanes.as_deref().ok())
+    DEFAULT_LANES
 }
 
 /// `PP_SIM_LAW` resolution: a recognized round-law name selects that law;
 /// anything else (including absence) falls back to the bit-identical
-/// default, mirroring how [`lane_override`] treats garbage.
+/// default.
 fn law_override(raw: Option<&str>) -> LawMode {
     match raw.map(str::trim) {
         Some("sequence") => LawMode::SequenceExpansion,
         Some("contingency") => LawMode::Contingency,
-        Some("multiround") => LawMode::MultiRound,
         _ => LawMode::default(),
     }
 }
 
 /// Batch-tier round law for every engine a sweep constructs: the
-/// `PP_SIM_LAW` override (`sequence` / `contingency` / `multiround`),
-/// default [`LawMode::SequenceExpansion`].
+/// `PP_SIM_LAW` override (`sequence` / `contingency`), default
+/// [`LawMode::SequenceExpansion`].
 pub fn sweep_law_mode() -> LawMode {
     let law = std::env::var("PP_SIM_LAW");
     law_override(law.as_deref().ok())
@@ -372,21 +358,17 @@ pub struct SweepPoint {
 /// below `2^32` — far beyond any realistic sweep; asserted at entry rather
 /// than silently reusing seed streams across sizes.
 ///
-/// Each [`parallel_map`] worker receives a **lane bundle** — up to
-/// [`sweep_lane_width`] same-`n` seeds advanced in lockstep by one
-/// [`WideSimulation`] through a shared compiled pair cache (threads ×
-/// lanes composition; `PP_SIM_LANES` overrides the width). Lanes the wide
-/// engine spills out of its null-dominated tail finish on a scalar
-/// [`CountSimulation`] continuation, whose jump scheduler telescopes the
-/// nulls (a fratricide sweep point at `n = 2^28` telescopes `~10^16` null
-/// interactions and completes in seconds). Every lane is an exact
-/// simulation of the uniformly random scheduler, so the measured
-/// distribution is the same law as the per-agent engine's at a vanishing
-/// fraction of the cost; results are deterministic for a fixed
-/// `(master_seed, width)` but — like the engine's own heuristic tiers —
-/// not bit-comparable across different widths. Use
-/// [`stabilization_sweep_agents`] to drive the per-agent reference engine
-/// instead (e.g. to cross-validate the engines against each other).
+/// Every run is one election on a fresh [`CountSimulation`]
+/// ([`run_election`]): an exact simulation of the uniformly random
+/// scheduler whose jump scheduler telescopes null-dominated tails (a
+/// fratricide sweep point at `n = 2^28` telescopes `~10^16` null
+/// interactions and completes in seconds), so the measured distribution is
+/// the per-agent engine's law at a vanishing fraction of the cost. Results
+/// are bit-for-bit deterministic for a fixed `master_seed` and round law,
+/// and equal to what the checkpointed sweep and the sweep fabric report for
+/// the same grid. Use [`stabilization_sweep_agents`] to drive the per-agent
+/// reference engine instead (e.g. to cross-validate the engines against
+/// each other).
 ///
 /// Repeated entries in `ns` are measured independently (each job range
 /// aggregates into its own [`SweepPoint`]).
@@ -401,90 +383,74 @@ where
     P: LeaderElection,
     F: Fn(usize) -> P + Sync,
 {
-    stabilization_sweep_wide(make, ns, seeds, master_seed, max_steps, sweep_lane_width())
-}
-
-/// [`stabilization_sweep`] with an explicit lane-bundle width (ignoring
-/// `PP_SIM_LANES`), for callers pinning reproducible bundle compositions.
-pub fn stabilization_sweep_wide<P, F>(
-    make: F,
-    ns: &[usize],
-    seeds: u64,
-    master_seed: u64,
-    max_steps: u64,
-    lanes: usize,
-) -> Vec<SweepPoint>
-where
-    P: LeaderElection,
-    F: Fn(usize) -> P + Sync,
-{
-    let flat = sweep_flat_wide(&make, ns, seeds, master_seed, max_steps, lanes);
+    let flat = sweep_flat(&make, ns, seeds, master_seed, max_steps);
     aggregate_points(ns, seeds, &flat)
 }
 
-/// Cost-model ordering of a bundle fan-out: indices into `bundles`,
-/// most-expensive-first.
+/// Cost-model ordering of a fan-out over work items of population sizes
+/// `ns`: indices into `ns`, most-expensive-first.
 ///
-/// Per-bundle cost is monotone in `n` for every protocol in this workspace
+/// Per-run cost is monotone in `n` for every protocol in this workspace
 /// (the power-law fits recorded in `BENCH_engine.json` and table 1's
 /// scaling exponents all have positive slope: even the `O(log n)`-time
 /// protocols cost `Ω(n)` work per seed since steps scale as `n · time`), so
 /// largest-`n`-first **is** the fitted-cost order — no per-protocol rate
 /// table needed for ordering to be correct, only monotonicity. The sort is
-/// stable, so same-`n` bundles keep job order.
+/// stable, so same-`n` items keep job order.
 ///
 /// Why ordering matters: stabilization times are heavy-tailed per seed, and
-/// a mixed-`n` grid's biggest bundles dominate the makespan. A FIFO
-/// fan-out can hand a worker a largest-`n` bundle *last*, leaving every
-/// other worker idle behind it; scheduling the expensive work first bounds
-/// that idle tail by the cheapest bundle's cost instead of the dearest's
-/// (classic LPT scheduling). Results are scattered back by bundle start
-/// index, so observable output is unchanged.
-pub(crate) fn cost_order(bundles: &[SweepBundle]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..bundles.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(bundles[i].n));
+/// a mixed-`n` grid's biggest runs dominate the makespan. A FIFO fan-out
+/// can hand a worker a largest-`n` run *last*, leaving every other worker
+/// idle behind it; scheduling the expensive work first bounds that idle
+/// tail by the cheapest item's cost instead of the dearest's (classic LPT
+/// scheduling). Results are scattered back by job index, so observable
+/// output is unchanged.
+pub(crate) fn cost_order(ns: &[usize]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..ns.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(ns[i]));
     order
 }
 
-/// Job-ordered flat `(converged, parallel_time)` outcomes of a wide sweep:
-/// the shared core of [`stabilization_sweep_wide`] and the sweep fabric's
-/// sequential mode. Bundles fan out largest-`n`-first ([`cost_order`]) and
-/// results scatter back by bundle start, so the returned order — and every
-/// bit of every result — is independent of the scheduling.
-pub(crate) fn sweep_flat_wide<P, F>(
+/// Job-ordered flat `(converged, parallel_time)` outcomes of a sweep: the
+/// shared core of [`stabilization_sweep`] and the sweep fabric's sequential
+/// mode.
+pub(crate) fn sweep_flat<P, F>(
     make: &F,
     ns: &[usize],
     seeds: u64,
     master_seed: u64,
     max_steps: u64,
-    lanes: usize,
 ) -> Vec<(bool, f64)>
 where
     P: LeaderElection,
     F: Fn(usize) -> P + Sync,
 {
-    let bundles = sweep_bundles(ns, seeds, master_seed, lanes);
     let law = sweep_law_mode();
-    let order = cost_order(&bundles);
-    let ordered: Vec<&SweepBundle> = order.iter().map(|&i| &bundles[i]).collect();
-    let outcomes = parallel_map(&ordered, |bundle| {
-        (
-            bundle.start,
-            run_bundle(make, bundle.n, &bundle.seeds, max_steps, law),
-        )
+    run_jobs(ns, seeds, master_seed, |n, seed| {
+        run_election(make, n, seed, max_steps, law)
+    })
+}
+
+/// Runs `run(n, seed)` on every job of [`sweep_jobs`] and returns the
+/// outcomes in job order. Jobs fan out largest-`n`-first ([`cost_order`])
+/// and results scatter back by job index, so the returned order — and
+/// every bit of every result — is independent of the scheduling.
+fn run_jobs<R>(ns: &[usize], seeds: u64, master_seed: u64, run: R) -> Vec<(bool, f64)>
+where
+    R: Fn(usize, u64) -> (bool, f64) + Sync,
+{
+    let jobs = sweep_jobs(ns, seeds, master_seed);
+    let sizes: Vec<usize> = jobs.iter().map(|&(n, _)| n).collect();
+    let order = cost_order(&sizes);
+    let outcomes = parallel_map(&order, |&i| {
+        let (n, seed) = jobs[i];
+        run(n, seed)
     });
-    // Scatter each bundle's lane results back into flat job order (the
-    // aggregation slices by contiguous job range).
-    let total: usize = bundles.iter().map(|b| b.seeds.len()).sum();
-    let mut flat: Vec<Option<(bool, f64)>> = vec![None; total];
-    for (start, results) in outcomes {
-        for (k, r) in results.into_iter().enumerate() {
-            flat[start + k] = Some(r);
-        }
+    let mut flat = vec![(false, 0.0); jobs.len()];
+    for (&i, outcome) in order.iter().zip(outcomes) {
+        flat[i] = outcome;
     }
-    flat.into_iter()
-        .map(|r| r.expect("bundles partition the job list"))
-        .collect()
+    flat
 }
 
 /// [`stabilization_sweep`] on the per-agent reference engine
@@ -504,14 +470,15 @@ where
     P: LeaderElection,
     F: Fn(usize) -> P + Sync,
 {
-    sweep_impl(ns, seeds, master_seed, |n, seed| {
+    let flat = run_jobs(ns, seeds, master_seed, |n, seed| {
         let protocol = make(n);
         let scheduler = UniformScheduler::seed_from_u64(seed);
         let mut sim = Simulation::new(protocol, n, scheduler)
             .expect("population sizes are >= 2 by construction");
         let outcome = sim.run_until_single_leader(max_steps);
         (outcome.converged, outcome.parallel_time(n))
-    })
+    });
+    aggregate_points(ns, seeds, &flat)
 }
 
 /// Builds a sweep's `(n, seed)` job list: `seeds` jobs per entry of `ns`, in
@@ -538,20 +505,21 @@ pub(crate) fn sweep_jobs(ns: &[usize], seeds: u64, master_seed: u64) -> Vec<(usi
     jobs
 }
 
-/// One wide sweep job: a contiguous block of same-`n` seed-stream jobs,
-/// advanced in lockstep by a single [`WideSimulation`].
+/// A contiguous block of same-`n` jobs: the sweep fabric's claim unit and
+/// the checkpointed sweep's journal block. Its jobs run independently
+/// ([`run_bundle`]), so the grouping never changes a result.
 #[derive(Debug, Clone)]
 pub(crate) struct SweepBundle {
-    /// Population size shared by every lane.
+    /// Population size shared by every job.
     pub n: usize,
-    /// Flat job index of the bundle's first lane (the aggregation order).
+    /// Flat job index of the bundle's first job (the aggregation order).
     pub start: usize,
-    /// Per-lane RNG seeds, in job order.
+    /// Per-job RNG seeds, in job order.
     pub seeds: Vec<u64>,
 }
 
-/// Partitions the flat job list of [`sweep_jobs`] into lane bundles of up
-/// to `lanes` same-`n` jobs. Bundles never span two entries of `ns` (each
+/// Partitions the flat job list of [`sweep_jobs`] into bundles of up to
+/// `lanes` same-`n` jobs. Bundles never span two entries of `ns` (each
 /// size's seed range chunks independently), so aggregation ranges stay
 /// contiguous.
 pub(crate) fn sweep_bundles(
@@ -560,7 +528,7 @@ pub(crate) fn sweep_bundles(
     master_seed: u64,
     lanes: usize,
 ) -> Vec<SweepBundle> {
-    let lanes = lanes.clamp(1, MAX_LANES);
+    let lanes = lanes.max(1);
     let jobs = sweep_jobs(ns, seeds, master_seed);
     let per_size = seeds as usize;
     let mut bundles = Vec::new();
@@ -584,12 +552,45 @@ pub(crate) fn sweep_bundles(
     bundles
 }
 
-/// Runs one lane bundle to stabilization: a wide auto-policy election,
-/// with spilled (null-dominated) lanes finished on scalar
-/// [`CountSimulation`] continuations that inherit the lane's exact counts,
-/// RNG, and step counter. Both the wide engine and the continuations draw
-/// their batch rounds from `law`. Returns `(converged, parallel_time)` per
-/// lane in job order.
+/// The fresh engine of one sweep job: `make(n)` on `n` agents, seeded from
+/// the job seed, drawing batch rounds from `law`. Also what snapshot-interval
+/// jobs of the checkpointed sweep start from.
+pub(crate) fn fresh_engine<P, F>(
+    make: &F,
+    n: usize,
+    seed: u64,
+    law: LawMode,
+) -> CountSimulation<P, Xoshiro256PlusPlus>
+where
+    P: LeaderElection,
+    F: Fn(usize) -> P,
+{
+    let config = EngineConfig {
+        law_mode: law,
+        ..EngineConfig::default()
+    };
+    CountSimulation::with_config(make(n), n, Xoshiro256PlusPlus::seed_from_u64(seed), config)
+        .expect("population sizes are >= 2 by construction")
+}
+
+/// The one sweep job executor: runs a [`fresh_engine`] to a single leader
+/// within `max_steps` and returns `(converged, parallel_time)`.
+pub(crate) fn run_election<P, F>(
+    make: &F,
+    n: usize,
+    seed: u64,
+    max_steps: u64,
+    law: LawMode,
+) -> (bool, f64)
+where
+    P: LeaderElection,
+    F: Fn(usize) -> P,
+{
+    let outcome = fresh_engine(make, n, seed, law).run_until_single_leader(max_steps);
+    (outcome.converged, outcome.parallel_time(n))
+}
+
+/// Runs every job of a bundle ([`run_election`] per seed), in job order.
 pub(crate) fn run_bundle<P, F>(
     make: &F,
     n: usize,
@@ -601,38 +602,9 @@ where
     P: LeaderElection,
     F: Fn(usize) -> P,
 {
-    let config = EngineConfig {
-        law_mode: law,
-        ..EngineConfig::default()
-    };
-    let rngs = seeds
+    seeds
         .iter()
-        .map(|&seed| Xoshiro256PlusPlus::seed_from_u64(seed))
-        .collect();
-    let mut wide = WideSimulation::with_config(make(n), n, rngs, config, WideTierPolicy::Auto)
-        .expect("population sizes are >= 2 by construction");
-    let election = wide.run_until_single_leader(max_steps);
-    let mut results: Vec<Option<(bool, f64)>> = election
-        .outcomes
-        .iter()
-        .map(|outcome| outcome.map(|o| (o.converged, o.parallel_time(n))))
-        .collect();
-    for export in election.spilled {
-        let lane = export.index;
-        let start = export.steps;
-        let mut scalar =
-            CountSimulation::from_counts_with_config(make(n), export.counts, export.rng, config)
-                .expect("spilled lanes keep their full population");
-        let out = scalar.run_until_single_leader(max_steps - start);
-        let total = RunOutcome {
-            steps: start + out.steps,
-            converged: out.converged,
-        };
-        results[lane] = Some((total.converged, total.parallel_time(n)));
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every lane is finished or spilled"))
+        .map(|&seed| run_election(make, n, seed, max_steps, law))
         .collect()
 }
 
@@ -665,18 +637,6 @@ pub(crate) fn aggregate_points(
             }
         })
         .collect()
-}
-
-fn sweep_impl<R>(ns: &[usize], seeds: u64, master_seed: u64, run: R) -> Vec<SweepPoint>
-where
-    R: Fn(usize, u64) -> (bool, f64) + Sync,
-{
-    let jobs = sweep_jobs(ns, seeds, master_seed);
-    let outcomes = parallel_map(&jobs, |&(n, seed)| {
-        let (converged, t) = run(n, seed);
-        (converged, t)
-    });
-    aggregate_points(ns, seeds, &outcomes)
 }
 
 #[cfg(test)]
@@ -770,7 +730,8 @@ mod tests {
         // [2, 2, 1] per size, and the order must pick every n = 64 bundle
         // first while preserving job order within each size.
         let bundles = sweep_bundles(&[16, 64, 32], 5, 3, 2);
-        let order = cost_order(&bundles);
+        let sizes: Vec<usize> = bundles.iter().map(|b| b.n).collect();
+        let order = cost_order(&sizes);
         let ns: Vec<usize> = order.iter().map(|&i| bundles[i].n).collect();
         assert_eq!(ns, vec![64, 64, 64, 32, 32, 32, 16, 16, 16]);
         let starts: Vec<usize> = order.iter().map(|&i| bundles[i].start).collect();
@@ -780,15 +741,14 @@ mod tests {
     #[test]
     fn largest_n_first_scheduling_keeps_results_in_job_order() {
         // The scheduled sweep must scatter back to exactly the flat
-        // job-order results of a plain bundle-by-bundle traversal — same
-        // order, same bits.
+        // job-order results of a plain job-by-job traversal — same order,
+        // same bits.
         let ns = [32usize, 16];
         let law = sweep_law_mode();
-        let flat = sweep_flat_wide(&|_| Fratricide, &ns, 5, 42, u64::MAX, 2);
-        let bundles = sweep_bundles(&ns, 5, 42, 2);
-        let expected: Vec<(bool, f64)> = bundles
+        let flat = sweep_flat(&|_| Fratricide, &ns, 5, 42, u64::MAX);
+        let expected: Vec<(bool, f64)> = sweep_jobs(&ns, 5, 42)
             .iter()
-            .flat_map(|b| run_bundle(&|_| Fratricide, b.n, &b.seeds, u64::MAX, law))
+            .map(|&(n, seed)| run_election(&|_| Fratricide, n, seed, u64::MAX, law))
             .collect();
         assert_eq!(flat.len(), expected.len());
         for (a, b) in flat.iter().zip(&expected) {
@@ -812,20 +772,12 @@ mod tests {
     }
 
     #[test]
-    fn lane_override_clamps_like_engine_config() {
-        assert_eq!(lane_override(Some("4")), 4);
-        assert_eq!(lane_override(Some("0")), 1);
-        assert_eq!(lane_override(Some("500")), MAX_LANES);
-        assert_eq!(lane_override(Some("wide")), DEFAULT_LANES);
-        assert_eq!(lane_override(None), DEFAULT_LANES);
-    }
-
-    #[test]
     fn law_override_recognizes_round_laws() {
         assert_eq!(law_override(Some("sequence")), LawMode::SequenceExpansion);
         assert_eq!(law_override(Some(" contingency ")), LawMode::Contingency);
-        assert_eq!(law_override(Some("multiround")), LawMode::MultiRound);
-        // Garbage and absence fall back to the bit-identical default.
+        // Garbage, absence and the retired `multiround` law fall back to the
+        // bit-identical default.
+        assert_eq!(law_override(Some("multiround")), LawMode::default());
         assert_eq!(law_override(Some("hypergeometric")), LawMode::default());
         assert_eq!(law_override(Some("")), LawMode::default());
         assert_eq!(law_override(None), LawMode::default());
@@ -833,21 +785,17 @@ mod tests {
 
     #[test]
     fn round_laws_agree_distributionally_in_sweeps() {
-        // The round law, like lane width, is a law-preserving execution
-        // knob: bundles run under each law draw differently but must sample
-        // the same stabilization-time distribution (pinned tightly by the
-        // chi-square suites; this is the sweep-level smoke check).
+        // The round law is a law-preserving execution knob: jobs run under
+        // each law draw differently but must sample the same
+        // stabilization-time distribution (pinned tightly by the chi-square
+        // suites; this is the sweep-level smoke check).
         let ns = [32usize];
-        let bundles = sweep_bundles(&ns, 24, 7, 6);
+        let jobs = sweep_jobs(&ns, 24, 7);
         let mut means = Vec::new();
-        for law in [
-            LawMode::SequenceExpansion,
-            LawMode::Contingency,
-            LawMode::MultiRound,
-        ] {
-            let flat: Vec<(bool, f64)> = bundles
+        for law in [LawMode::SequenceExpansion, LawMode::Contingency] {
+            let flat: Vec<(bool, f64)> = jobs
                 .iter()
-                .flat_map(|b| run_bundle(&|_| Fratricide, b.n, &b.seeds, u64::MAX, law))
+                .map(|&(n, seed)| run_election(&|_| Fratricide, n, seed, u64::MAX, law))
                 .collect();
             let points = aggregate_points(&ns, 24, &flat);
             assert_eq!(points[0].unconverged, 0, "{law} runs failed to converge");
@@ -899,7 +847,7 @@ mod tests {
 
     #[test]
     fn engine_sweeps_agree_distributionally() {
-        // The wide count-engine sweep and the agent-engine sweep sample the
+        // The count-engine sweep and the agent-engine sweep sample the
         // same Markov chain: over enough seeds their means must agree
         // loosely (fratricide at n=32 has E[parallel time] ≈ n).
         let ns = [32usize];
@@ -909,20 +857,6 @@ mod tests {
         assert_eq!(slow[0].unconverged, 0);
         let (a, b) = (fast[0].times.mean(), slow[0].times.mean());
         assert!((a / b - 1.0).abs() < 0.5, "count {a} vs agent {b}");
-    }
-
-    #[test]
-    fn bundle_widths_agree_distributionally() {
-        // Lane width is a law-preserving execution knob, like the engine's
-        // heuristic tiers: different widths draw differently but must
-        // sample the same stabilization-time distribution.
-        let ns = [32usize];
-        let narrow = stabilization_sweep_wide(|_| Fratricide, &ns, 24, 7, u64::MAX, 1);
-        let wide = stabilization_sweep_wide(|_| Fratricide, &ns, 24, 7, u64::MAX, 6);
-        assert_eq!(narrow[0].unconverged, 0);
-        assert_eq!(wide[0].unconverged, 0);
-        let (a, b) = (narrow[0].times.mean(), wide[0].times.mean());
-        assert!((a / b - 1.0).abs() < 0.5, "width 1 {a} vs width 6 {b}");
     }
 
     #[test]
@@ -959,9 +893,8 @@ mod tests {
     fn sweep_rides_the_jump_scheduler_at_scale() {
         // 2^14 fratricide takes Θ(n²) ≈ 2.7e8 interactions per run — hours
         // of debug-build stepping without null telescoping, milliseconds
-        // with it. The wide engine spills its null-dominated lanes onto
-        // scalar jump-scheduler continuations; completing at all (under an
-        // effectively unbounded budget) is the assertion.
+        // with it. Completing at all (under an effectively unbounded
+        // budget) is the assertion.
         let points = stabilization_sweep(|_| Fratricide, &[1 << 14], 2, 5, u64::MAX);
         assert_eq!(points[0].unconverged, 0);
         assert_eq!(points[0].times.count(), 2);

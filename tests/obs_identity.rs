@@ -2,16 +2,15 @@
 //! attached [`EngineObserver`] (with or without a trajectory sampler)
 //! consumes no randomness and leaves the execution bit-identical to a
 //! detached run: same step counts, same final configurations, and same
-//! `snapshot()` bytes, across all four scalar tiers, all three round laws,
-//! and the wide engine's lanes. Plus schema round-trips for the JSONL
-//! event log and the metrics JSON.
+//! `snapshot()` bytes, across all four tiers and both round laws. Plus
+//! schema round-trips for the JSONL event log and the metrics JSON.
 
 use population_protocols::core::Pll;
 use population_protocols::engine::{
     CountSimulation, EngineConfig, EngineEvent, EngineMetrics, EngineObserver, LawMode,
-    LeaderElection, SnapshotState, WideSimulation, WideTierPolicy,
+    LeaderElection, SnapshotState,
 };
-use population_protocols::rand::{SeedSequence, Xoshiro256PlusPlus};
+use population_protocols::rand::Xoshiro256PlusPlus;
 use proptest::prelude::*;
 
 /// How a test pins the engine's execution tier.
@@ -30,11 +29,7 @@ const MODES: [TierMode; 4] = [
     TierMode::Batch,
 ];
 
-const LAWS: [LawMode; 3] = [
-    LawMode::SequenceExpansion,
-    LawMode::Contingency,
-    LawMode::MultiRound,
-];
+const LAWS: [LawMode; 2] = [LawMode::SequenceExpansion, LawMode::Contingency];
 
 fn build<P>(
     protocol: P,
@@ -105,7 +100,7 @@ proptest! {
     fn observation_is_invisible_on_every_tier_and_law(
         seed in any::<u64>(),
         mode in 0usize..4,
-        law in 0usize..3,
+        law in 0usize..2,
     ) {
         let n = 1 << 11;
         let protocol = Pll::for_population(n).expect("n >= 2");
@@ -119,45 +114,6 @@ fn observation_is_invisible_on_the_heuristic_batch_crossover() {
     use population_protocols::protocols::Fratricide;
     for law in LAWS {
         assert_observation_invisible(Fratricide, 1 << 13, 7, TierMode::Auto, law);
-    }
-}
-
-#[test]
-fn observation_is_invisible_on_wide_lanes() {
-    let n = 1 << 12;
-    let protocol = Pll::for_population(n).expect("n >= 2");
-    for policy in [
-        WideTierPolicy::Auto,
-        WideTierPolicy::PinnedPerStep,
-        WideTierPolicy::PinnedBatch,
-        WideTierPolicy::LawOnly,
-    ] {
-        let seq = SeedSequence::new(1234);
-        let rngs = |s: &SeedSequence| (0..4u64).map(|i| s.rng_at(i)).collect();
-        let mut plain =
-            WideSimulation::with_config(protocol, n, rngs(&seq), EngineConfig::default(), policy)
-                .expect("n >= 2");
-        let mut watched =
-            WideSimulation::with_config(protocol, n, rngs(&seq), EngineConfig::default(), policy)
-                .expect("n >= 2");
-        watched.set_observer(EngineObserver::new());
-        plain.run(20_000);
-        watched.run(20_000);
-        assert_eq!(plain.steps(), watched.steps(), "{policy:?}");
-        for pos in 0..plain.lanes() {
-            assert_eq!(
-                plain.lane_state_counts(pos),
-                watched.lane_state_counts(pos),
-                "{policy:?} lane {pos}"
-            );
-        }
-        let a = plain.run_until_single_leader(u64::MAX);
-        let b = watched.run_until_single_leader(u64::MAX);
-        assert_eq!(a.outcomes, b.outcomes, "{policy:?}");
-        assert_eq!(a.spilled.len(), b.spilled.len(), "{policy:?}");
-        let metrics = watched.metrics();
-        assert_eq!(metrics.population, n as u64);
-        assert_eq!(metrics.tier_usage, plain.tier_usage());
     }
 }
 

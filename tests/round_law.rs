@@ -1,42 +1,35 @@
 //! The batch tier's **round laws** must execute the same law: identical
 //! stabilization-time distributions whether a collision-free round is
-//! materialized by sequence expansion (the bit-identical default), drawn
-//! directly as a per-ordered-pair contingency table, or chained into
-//! multi-round fresh/used episodes — pinned by chi-square homogeneity over
-//! pooled-quantile bins against the reference (uncached) tier, the same
-//! methodology as the four-tier suite in `tests/batch_equivalence.rs`.
+//! materialized by sequence expansion (the bit-identical default) or drawn
+//! directly as a per-ordered-pair contingency table — pinned by chi-square
+//! homogeneity over pooled-quantile bins against the reference (uncached)
+//! tier, the same methodology as the four-tier suite in
+//! `tests/batch_equivalence.rs`.
 //!
-//! Three regimes: forced-batch elections at tiny `n` (rounds of a handful
-//! of interactions, collisions and exact walks dominate — fratricide and
-//! the paper's `P_LL`), auto-tier elections at `n = 4096` (above the batch
-//! population floor: genuine `Θ(√n)` rounds with the contingency cells
-//! path hot on fratricide's two-state support), and the wide engine's
-//! `LawOnly` policy (one shared run-length inversion and responder index
-//! stream across the lane set, per-lane contingency cells), compared at a
-//! fixed step budget through the leader-count distribution. A forced
-//! multi-round test asserts episodes genuinely chain segments, and every
-//! law mode must survive the snapshot round-trip bit-for-bit.
+//! Two regimes: forced-batch elections at tiny `n` (rounds of a handful of
+//! interactions, collisions and exact walks dominate — fratricide and the
+//! paper's `P_LL`), and auto-tier elections at `n = 4096` (above the batch
+//! population floor: genuine `Θ(√n)` rounds with the contingency cells path
+//! hot on fratricide's two-state support). Every law mode must survive the
+//! snapshot round-trip bit-for-bit.
 
 use population_protocols::core::Pll;
-use population_protocols::engine::{
-    CountSimulation, EngineConfig, LawMode, LeaderElection, WideSimulation, WideTierPolicy,
-};
+use population_protocols::engine::{CountSimulation, EngineConfig, LawMode, LeaderElection};
 use population_protocols::protocols::Fratricide;
 use population_protocols::rand::{SeedSequence, Xoshiro256PlusPlus};
 use population_protocols::stats::{chi_square_samples, wilson95};
 
-/// The three round laws plus the uncached reference engine.
+/// The two round laws plus the uncached reference engine.
 #[derive(Clone, Copy, Debug)]
 enum Mode {
     Reference,
     Law(LawMode),
 }
 
-const MODES: [Mode; 4] = [
+const MODES: [Mode; 3] = [
     Mode::Reference,
     Mode::Law(LawMode::SequenceExpansion),
     Mode::Law(LawMode::Contingency),
-    Mode::Law(LawMode::MultiRound),
 ];
 
 fn law_config(law: LawMode) -> EngineConfig {
@@ -90,7 +83,7 @@ fn stabilization_sample<P: LeaderElection + Clone>(
 }
 
 /// Chi-square homogeneity of the modes' stabilization samples, plus a
-/// Wilson-interval cross-check of each new law's probability of
+/// Wilson-interval cross-check of the contingency law's probability of
 /// stabilizing within the reference median budget.
 fn assert_law_equivalence<P: LeaderElection + Clone>(
     protocol: P,
@@ -113,28 +106,26 @@ fn assert_law_equivalence<P: LeaderElection + Clone>(
     );
 
     // Binomial cross-check at a sensitive quantile: P(T <= pooled median of
-    // the established modes) must agree for each new law.
+    // the established modes) must agree for the contingency law.
     let mut pooled: Vec<f64> = samples[..2].iter().flatten().copied().collect();
     pooled.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
     let budget = pooled[pooled.len() / 2];
     let hit = |sample: &[f64]| sample.iter().filter(|&&t| t <= budget).count() as u64;
     let established: u64 = samples[..2].iter().map(|s| hit(s)).sum();
     let (lo, hi) = wilson95(established, 2 * seeds);
-    for (sample, law) in samples[2..].iter().zip(["contingency", "multiround"]) {
-        let p = hit(sample) as f64 / seeds as f64;
-        let slack = 1.96 * (p * (1.0 - p) / seeds as f64).sqrt();
-        assert!(
-            p + slack >= lo && p - slack <= hi,
-            "P(T <= {budget}) {law} = {p:.3} outside Wilson interval [{lo:.3}, {hi:.3}]"
-        );
-    }
+    let p = hit(&samples[2]) as f64 / seeds as f64;
+    let slack = 1.96 * (p * (1.0 - p) / seeds as f64).sqrt();
+    assert!(
+        p + slack >= lo && p - slack <= hi,
+        "P(T <= {budget}) contingency = {p:.3} outside Wilson interval [{lo:.3}, {hi:.3}]"
+    );
 }
 
 #[test]
 fn round_laws_agree_on_fratricide() {
     // n = 64 forces rounds of a handful of interactions: the collision
-    // path, the exact walk, and the multi-round continuation prefix are all
-    // hot, and fratricide's two-state support keeps the contingency cells
+    // path and the exact walk are both hot, and fratricide's two-state
+    // support keeps the contingency cells
     // path engaged (table of <= 4 cells never overflows its cap).
     assert_law_equivalence(Fratricide, 64, 120, 0, 6);
 }
@@ -154,26 +145,26 @@ fn round_laws_agree_on_fratricide_batch_regime() {
     // phase under each law, the jump scheduler telescoping the null tail.
     let n = 4096;
     let seeds = 60u64;
-    let samples: Vec<Vec<f64>> = [
-        LawMode::SequenceExpansion,
-        LawMode::Contingency,
-        LawMode::MultiRound,
-    ]
-    .iter()
-    .map(|&law| {
-        let seq = SeedSequence::new(20_000);
-        (0..seeds)
-            .map(|seed| {
-                let mut sim =
-                    CountSimulation::with_config(Fratricide, n, seq.rng_at(seed), law_config(law))
-                        .expect("n >= 2");
-                let out = sim.run_until_single_leader(u64::MAX);
-                assert!(out.converged, "{law} seed {seed} did not converge");
-                out.steps as f64 / n as f64
-            })
-            .collect()
-    })
-    .collect();
+    let samples: Vec<Vec<f64>> = [LawMode::SequenceExpansion, LawMode::Contingency]
+        .iter()
+        .map(|&law| {
+            let seq = SeedSequence::new(20_000);
+            (0..seeds)
+                .map(|seed| {
+                    let mut sim = CountSimulation::with_config(
+                        Fratricide,
+                        n,
+                        seq.rng_at(seed),
+                        law_config(law),
+                    )
+                    .expect("n >= 2");
+                    let out = sim.run_until_single_leader(u64::MAX);
+                    assert!(out.converged, "{law} seed {seed} did not converge");
+                    out.steps as f64 / n as f64
+                })
+                .collect()
+        })
+        .collect();
     let refs: Vec<&[f64]> = samples.iter().map(|s| s.as_slice()).collect();
     let c = chi_square_samples(&refs, 5);
     assert!(
@@ -181,104 +172,6 @@ fn round_laws_agree_on_fratricide_batch_regime() {
         "auto-tier law histograms diverge: chi2 = {:.2}, df = {}",
         c.statistic,
         c.df
-    );
-}
-
-#[test]
-fn law_only_wide_matches_scalar_law_at_fixed_budget() {
-    // The LawOnly policy shares one run-length inversion and one responder
-    // index stream across the lane set; each lane's marginal law must stay
-    // exact. Compared at a fixed step budget (3n interactions, all inside
-    // lockstep batch rounds — no spill, no tail) through the leader-count
-    // distribution, against scalar forced-batch contingency runs.
-    let n = 4096usize;
-    let budget = 3 * n as u64;
-    let lanes = 4usize;
-    let bundles = 30usize;
-    let seq = SeedSequence::new(31_000);
-    let mut wide_counts: Vec<f64> = Vec::new();
-    for bundle in 0..bundles {
-        let rngs = (0..lanes)
-            .map(|lane| seq.rng_at((bundle * lanes + lane) as u64))
-            .collect();
-        let mut wide = WideSimulation::with_config(
-            Fratricide,
-            n,
-            rngs,
-            EngineConfig::default(),
-            WideTierPolicy::LawOnly,
-        )
-        .expect("n >= 2");
-        wide.run(budget);
-        for pos in 0..lanes {
-            assert_eq!(wide.lane_steps(pos), budget);
-            let leaders: u64 = wide
-                .lane_state_counts(pos)
-                .iter()
-                .filter(|(s, _)| Fratricide.is_leader(s))
-                .map(|(_, c)| *c)
-                .sum();
-            wide_counts.push(leaders as f64);
-        }
-    }
-    let scalar_counts: Vec<f64> = (0..bundles * lanes)
-        .map(|seed| {
-            let rng = seq.rng_at(1_000_000 + seed as u64);
-            let mut sim = mode_sim(Fratricide, n, rng, Mode::Law(LawMode::Contingency));
-            sim.run(budget);
-            assert_eq!(sim.steps(), budget);
-            sim.leader_count() as f64
-        })
-        .collect();
-    let c = chi_square_samples(&[&scalar_counts, &wide_counts], 5);
-    assert!(
-        c.accepts(0.001),
-        "LawOnly leader-count histogram diverges from scalar: chi2 = {:.2}, df = {}",
-        c.statistic,
-        c.df
-    );
-    // The shared machinery must actually have engaged: every round either
-    // drew cells (fratricide's 2-state table always fits) or was a walk.
-    // (Stats aggregate across the lane set.)
-    let mean_wide = wide_counts.iter().sum::<f64>() / wide_counts.len() as f64;
-    let mean_scalar = scalar_counts.iter().sum::<f64>() / scalar_counts.len() as f64;
-    assert!(
-        (mean_wide / mean_scalar - 1.0).abs() < 0.05,
-        "mean surviving leaders diverge: wide {mean_wide:.1} vs scalar {mean_scalar:.1}"
-    );
-}
-
-#[test]
-fn multi_round_episodes_chain_segments() {
-    // At n = 32 the expected collision-free run is ~3 interactions, so a
-    // multi-round episode keeps colliding and chaining: the per-episode
-    // segment average must exceed 1 (strictly more segments than episodes)
-    // while elections still converge to a unique leader.
-    let seq = SeedSequence::new(500);
-    let mut episodes = 0;
-    let mut segments = 0;
-    for seed in 0..20 {
-        let mut sim = mode_sim(
-            Fratricide,
-            32,
-            seq.rng_at(seed),
-            Mode::Law(LawMode::MultiRound),
-        );
-        let out = sim.run_until_single_leader(u64::MAX);
-        assert!(out.converged);
-        assert_eq!(sim.leader_count(), 1);
-        let stats = sim.batch_stats();
-        assert_eq!(
-            stats.bulk_interactions + stats.collision_interactions,
-            out.steps
-        );
-        episodes += stats.episodes;
-        segments += stats.episode_segments;
-    }
-    assert!(episodes > 0, "batch episodes never ran");
-    assert!(
-        segments > episodes,
-        "multi-round never chained: {segments} segments over {episodes} episodes"
     );
 }
 
@@ -314,11 +207,7 @@ fn snapshots_round_trip_under_every_law_mode() {
     // resumed engine must keep producing the original law's trajectory
     // (bit-identical continuation under the same mode).
     let n = 4096;
-    for law in [
-        LawMode::SequenceExpansion,
-        LawMode::Contingency,
-        LawMode::MultiRound,
-    ] {
+    for law in [LawMode::SequenceExpansion, LawMode::Contingency] {
         let rng = Xoshiro256PlusPlus::seed_from_u64(77);
         let mut sim = mode_sim(Fratricide, n, rng, Mode::Law(law));
         sim.run(2 * n as u64);

@@ -35,8 +35,6 @@ KNOWN_EVENTS = {
     "compaction",
     "snapshot",
     "resumed",
-    "lane_retired",
-    "lane_spilled",
 }
 
 
