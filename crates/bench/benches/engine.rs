@@ -13,10 +13,7 @@
 //! `engine/count_steps_compiled` the compiled per-step cache with jump and
 //! batch disabled, and `engine/count_steps_reference` the uncached per-step
 //! fallback (hashing, cloning, and `Protocol::transition` calls every
-//! step). `engine/count_steps_round` pits the batch tier's two round laws
-//! (`sequence` / `contingency`) against each
-//! other in adjacent rows on a small-support workload (fratricide) and a
-//! wide-support control (`P_LL`). `engine/count_steps_obs` prices the
+//! step). `engine/count_steps_obs` prices the
 //! observability layer: the pinned-batch workload with and without an
 //! attached `EngineObserver`, adjacent rows the CI smoke gate holds to a
 //! 2 % spread. The step groups run mid-election workloads where null
@@ -35,10 +32,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pp_bench::fast_criterion;
 use pp_core::Pll;
-use pp_engine::{
-    CountSimulation, EngineConfig, EngineObserver, LawMode, LeaderElection, Simulation,
-    UniformScheduler,
-};
+use pp_engine::{CountSimulation, EngineObserver, LeaderElection, Simulation, UniformScheduler};
 use pp_protocols::{Fratricide, UnboundedLottery};
 use pp_rand::Xoshiro256PlusPlus;
 use std::hint::black_box;
@@ -168,60 +162,6 @@ fn bench_count_engine_reference(c: &mut Criterion) {
     bench_count_engine_at("engine/count_steps_reference", Tier::Reference, c);
 }
 
-/// The batch tier's round laws measured against each other on the same
-/// pinned-batch windowed workload: for each protocol the two
-/// [`LawMode`] rows run back-to-back, so the contingency-vs-sequence
-/// ratio — the figure the round-law refactor exists for — comes from
-/// adjacent measurements (on a shared container the machine's throughput
-/// drifts by ±10 % across minutes, more than the ratio itself). `fratricide` is the
-/// small-support workload (two live states, so the per-ordered-pair table
-/// has ≤ 4 cells and the contingency law skips the `O(√n)` responder
-/// shuffle outright); `pll` is the wide-support control where the table
-/// overflows its cap and the law falls back to expand-and-shuffle per
-/// segment, bounding the overhead of the dispatch itself.
-fn bench_count_engine_round(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine/count_steps_round");
-    group.throughput(Throughput::Elements(STEPS));
-    let n = 1usize << 20;
-    macro_rules! bench_laws {
-        ($label:literal, $make:expr) => {
-            for law in [LawMode::SequenceExpansion, LawMode::Contingency] {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{}/{n}", $label), law),
-                    &law,
-                    |b, &law| {
-                        let make_protocol = $make;
-                        let config = EngineConfig {
-                            law_mode: law,
-                            ..EngineConfig::default()
-                        };
-                        let make = || {
-                            let rng = Xoshiro256PlusPlus::seed_from_u64(1);
-                            let mut sim =
-                                CountSimulation::with_config(make_protocol(n), n, rng, config)
-                                    .expect("n >= 2");
-                            sim.force_batch_mode();
-                            sim.run(WINDOW_FROM * n as u64);
-                            sim
-                        };
-                        let mut sim = make();
-                        b.iter(|| {
-                            if sim.steps() > WINDOW_TO * n as u64 {
-                                sim = make();
-                            }
-                            sim.run(STEPS);
-                            black_box(sim.steps())
-                        });
-                    },
-                );
-            }
-        };
-    }
-    bench_laws!("fratricide", |_| Fratricide);
-    bench_laws!("pll", |n| Pll::for_population(n).expect("n >= 2"));
-    group.finish();
-}
-
 /// The observability layer's cost when attached but otherwise idle: the
 /// pinned-batch windowed `P_LL@2^20` workload (the same one the batch
 /// group measures) run twice back-to-back, `detached` with no observer and
@@ -230,7 +170,8 @@ fn bench_count_engine_round(c: &mut Criterion) {
 /// at episode and review boundaries — one branch plus an `Instant` read
 /// when it fires — so the attached row must stay within a few percent of
 /// the detached row; the CI smoke gate holds the pair to 2 %. Rows are
-/// adjacent for the same drift reason as the round-law group's.
+/// adjacent because on a shared machine throughput drifts by ±10 % across
+/// minutes, more than the spread being gated.
 fn bench_count_engine_obs(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine/count_steps_obs");
     group.throughput(Throughput::Elements(STEPS));
@@ -290,7 +231,6 @@ criterion_group! {
     name = benches;
     config = fast_criterion();
     targets = bench_agent_engine, bench_count_engine, bench_count_engine_batch,
-        bench_count_engine_round,
         bench_count_engine_obs, bench_count_engine_compiled,
         bench_count_engine_reference, bench_election_jump
 }

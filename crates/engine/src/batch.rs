@@ -14,18 +14,17 @@
 //!    collision-free, given `u` agents already used, is
 //!    `(n−u)(n−u−1) / (n(n−1))`; the maximal collision-free prefix length is
 //!    sampled exactly by inverting the running product of these ratios with
-//!    a single uniform ([`crate::round::collision_free_prefix_from`]). Its
+//!    a single uniform ([`crate::round::collision_free_prefix`]). Its
 //!    expectation is the birthday bound `≈ √(πn/8)` — the `Θ(√n)` round
 //!    length.
 //! 2. **Who interacts.** The `2L` agents of a collision-free run of length
 //!    `L` are a uniform without-replacement sample of the population. By
 //!    exchangeability, the initiator states are a multivariate
 //!    hypergeometric draw of `L` from the counts, the responder states an
-//!    `L`-draw from what remains. *How* the two multisets pair into ordered
-//!    interactions is the round's [`RoundLaw`](crate::round::RoundLaw) —
-//!    a permuted responder sequence (the bit-identical default) or a direct
-//!    contingency-table draw (see [`crate::round`] for the pipeline and the
-//!    bit-identical-vs-law-equal contract).
+//!    `L`-draw from what remains. The two multisets pair into ordered
+//!    interactions by one round ([`crate::round::draw_round`]): a direct
+//!    contingency-table draw applied cell by cell when the table is no
+//!    larger than the round, else a permuted responder sequence.
 //! 3. **Collisions, exactly.** The run ends because the *next* interaction
 //!    touches a used agent. Used agents are exchangeable given their state
 //!    counts, so the colliding interaction is executed individually from a
@@ -44,11 +43,12 @@
 //! Like the jump scheduler, the batch tier changes no distribution — it
 //! consumes the RNG stream differently, so executions are equal in law, not
 //! bit-identical; the 4-tier chi-square suite (`tests/batch_equivalence.rs`)
-//! and the round-law suite (`tests/round_law.rs`) pin the law.
+//! and the round suite (`tests/round_law.rs`, including fratricide's exact
+//! stabilization law) pin the law.
 //!
 //! This module owns the tier's public stats and ride-along state; the
 //! statistical machinery (urn scratch, run-length inversion, the round
-//! laws) lives in [`crate::round`], and the episode orchestration (which
+//! draw) lives in [`crate::round`], and the episode orchestration (which
 //! needs the pair cache and interning) in
 //! [`CountSimulation`](crate::CountSimulation).
 
@@ -62,19 +62,19 @@ pub struct BatchStats {
     pub episodes: u64,
     /// Interactions applied through collision-free bulk rounds.
     pub bulk_interactions: u64,
-    /// Collision interactions executed individually at segment boundaries.
+    /// Collision interactions executed individually at round boundaries.
     pub collision_interactions: u64,
-    /// Segments resolved by the exact shuffled walk (leader count near 1).
+    /// Rounds resolved by the exact shuffled walk (leader count near 1).
     pub exact_walks: u64,
     /// Conditional draws spent pairing margins into contingency cells
-    /// (margin draws are common to every law and not counted).
+    /// (margin draws are common to both representations and not counted).
     pub contingency_draws: u64,
-    /// Segments whose responder shuffle was replaced by a contingency
+    /// Rounds whose responder shuffle was replaced by a contingency
     /// table.
     pub shuffle_skips: u64,
     /// Collision-free segments executed. Every episode is one segment, so
-    /// this equals `episodes`; it stays a separate counter so snapshots and
-    /// metrics keep their layout.
+    /// this equals `episodes`; it stays a separate counter because
+    /// downstream benchmark ledgers read it.
     pub episode_segments: u64,
 }
 

@@ -68,7 +68,7 @@
 use crate::batch::BatchStats;
 use crate::compiled::{self, PairCache};
 use crate::obs::{EngineEvent, EngineMetrics, EngineObserver};
-use crate::round::{self, ContingencyLaw, LawMode, RoundLaw, SegmentDraw, SequenceExpansionLaw};
+use crate::round::{self, RoundDraw};
 use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotState, SnapshotWriter};
 use crate::tier::{self, EngineConfig, EngineTier, JumpStats, TierController, TierUsage};
 use crate::{EngineError, LeaderElection, Protocol, Role, RunOutcome, CONVERGENCE_BATCH};
@@ -472,7 +472,6 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
             support: self.support as u64,
             distinct_states_seen: self.ids.len() as u64,
             active_tier: self.active_tier(),
-            law: self.tiers.config.law_mode,
             tier_usage: self.tiers.usage,
             jump: self.tiers.jump.stats,
             batch: self.tiers.batch.stats,
@@ -1101,32 +1100,21 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     /// [`crate::round`]): samples the maximal collision-free prefix (capped
     /// at `max`, which must be positive), applies it in bulk from the
     /// two-urn decomposition, and executes the terminating collision
-    /// interaction individually when it falls inside the budget —
-    /// dispatched through the [`RoundLaw`] selected by
-    /// [`EngineConfig::law_mode`]. Returns `(consumed, hit)`; with
-    /// `leaders` supplied the running count is maintained exactly, and a
-    /// segment that could touch a count of 1 is resolved by the exact
-    /// shuffled walk, stopping (and discarding the unexecuted tail) at the
-    /// precise hitting step.
-    fn batch_episode(&mut self, max: u64, leaders: Option<&mut i64>) -> (u64, bool) {
-        match self.tiers.config.law_mode {
-            LawMode::SequenceExpansion => self.law_episode::<SequenceExpansionLaw>(max, leaders),
-            LawMode::Contingency => self.law_episode::<ContingencyLaw>(max, leaders),
-        }
-    }
-
-    /// The law-generic episode body behind [`batch_episode`](Self::
-    /// batch_episode): one collision-free segment through one urn lifetime
-    /// (`begin`, apply, merge), its structure drawn from the law.
-    fn law_episode<L: RoundLaw>(&mut self, max: u64, mut leaders: Option<&mut i64>) -> (u64, bool) {
+    /// interaction individually when it falls inside the budget. One urn
+    /// lifetime (`begin`, apply, merge) around one [`round::draw_round`].
+    /// Returns `(consumed, hit)`; with `leaders` supplied the running
+    /// count is maintained exactly, and a round that could touch a count of
+    /// 1 is resolved by the exact shuffled walk, stopping (and discarding
+    /// the unexecuted tail) at the precise hitting step.
+    fn batch_episode(&mut self, max: u64, mut leaders: Option<&mut i64>) -> (u64, bool) {
         debug_assert!(max > 0);
         let mut scratch = std::mem::take(&mut self.tiers.batch.scratch);
         scratch.begin(self.sampler.weights());
         let mut hit = false;
-        let (bulk, collide) = round::collision_free_prefix_from(&mut self.rng, self.n, 0, max);
+        let (bulk, collide) = round::collision_free_prefix(&mut self.rng, self.n, max);
         self.tiers.batch.stats.episode_segments += 1;
-        // The leader count can touch 1 inside the segment only within ±2
-        // per interaction of its entry value; segments that provably cannot
+        // The leader count can touch 1 inside the round only within ±2
+        // per interaction of its entry value; rounds that provably cannot
         // skip the walk and apply pure bulk deltas.
         let walk = leaders
             .as_deref()
@@ -1134,7 +1122,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         if walk {
             self.tiers.batch.stats.exact_walks += 1;
         }
-        let draw = L::draw_segment(
+        let draw = round::draw_round(
             &mut scratch,
             &mut self.rng,
             bulk,
@@ -1143,7 +1131,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         );
         let mut executed = 0u64;
         match draw {
-            SegmentDraw::Sequences => {
+            RoundDraw::Sequences => {
                 for i in 0..bulk as usize {
                     let s = scratch.init_seq[i] as usize;
                     let t = scratch.resp_seq[i] as usize;
@@ -1169,7 +1157,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
                     }
                 }
             }
-            SegmentDraw::Cells => {
+            RoundDraw::Cells => {
                 // Aggregated apply: `c` identical interactions collapse into
                 // one cache lookup and one urn update per side. `walk`
                 // forces Sequences, so no hitting-step check is needed here
@@ -1243,12 +1231,10 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         if !self.tiers.jump.ledger.is_empty() {
             self.tiers.jump.ledger.mark_dirty();
         }
-        let (step, law) = (self.steps, self.tiers.config.law_mode);
+        let step = self.steps;
         if let Some(obs) = self.obs.as_deref_mut() {
             obs.record(EngineEvent::BatchEpisode {
                 step,
-                law,
-                segments: 1,
                 bulk: executed,
                 collision: collided,
                 walked: walk,
@@ -1594,7 +1580,6 @@ where
         w.put_u64(c.batch_support_divisor);
         w.put_u64(c.batch_min_population);
         w.put_bool(c.compaction);
-        w.put_u8(c.law_mode.tag());
         w.end_section();
 
         w.begin_section(snapshot::TAG_POPULATION);
@@ -1718,10 +1703,6 @@ where
             batch_support_divisor: sec.get_u64()?,
             batch_min_population: sec.get_u64()?,
             compaction: sec.get_bool()?,
-            law_mode: {
-                let tag = sec.get_u8()?;
-                LawMode::from_tag(tag).ok_or(SnapshotError::UnsupportedLaw { tag })?
-            },
         };
         sec.expect_end("config section has trailing bytes")?;
 
@@ -2419,38 +2400,38 @@ mod tests {
         let mut sim = CountSimulation::new(Frat, 256, rng(42)).unwrap();
         sim.run(1_000);
         let hash = crate::snapshot::fnv1a64(&sim.snapshot());
-        const GOLDEN: u64 = 0xf7c3_918c_8188_2535;
+        const GOLDEN: u64 = 0x39da_af37_e815_a636;
         assert!(
-            hash == GOLDEN || crate::snapshot::SNAPSHOT_VERSION > 3,
-            "snapshot bytes changed under version 3 (hash {hash:#018x}); \
+            hash == GOLDEN || crate::snapshot::SNAPSHOT_VERSION > 4,
+            "snapshot bytes changed under version 4 (hash {hash:#018x}); \
              bump SNAPSHOT_VERSION and update GOLDEN"
         );
     }
 
     #[test]
-    fn retired_multi_round_law_tag_is_a_typed_snapshot_error() {
-        // Tag 2 was the multi-round law. A snapshot carrying it must be
-        // refused as an unsupported law, not misread as another law or
-        // reported as corruption.
-        let config = EngineConfig {
-            law_mode: LawMode::Contingency,
-            ..EngineConfig::default()
-        };
-        let mut sim = CountSimulation::with_config(Frat, 4096, rng(3), config).unwrap();
+    fn v3_snapshot_is_refused_with_unsupported_version() {
+        // Version 3 carried a round-law byte after the compaction flag.
+        // Rebuild that layout from a v4 snapshot — insert the byte, grow
+        // the config section, stamp version 3, re-checksum — and require
+        // the typed version error rather than a misread or corruption.
+        let mut sim = CountSimulation::new(Frat, 4096, rng(3)).unwrap();
         sim.force_batch_mode();
         sim.run(10_000);
         let mut bytes = sim.snapshot();
         // Magic, version, then the config section: tag, length, five u64
-        // knobs and the compaction flag precede the law byte.
-        let law_at = 8 + 4 + 2 + 8 + 5 * 8 + 1;
-        assert_eq!(bytes[law_at], LawMode::Contingency.tag());
-        bytes[law_at] = 2;
+        // knobs and the compaction flag.
+        let len_at = 8 + 4 + 2;
+        let law_at = len_at + 8 + 5 * 8 + 1;
+        let len = u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap());
+        bytes[len_at..len_at + 8].copy_from_slice(&(len + 1).to_le_bytes());
+        bytes.insert(law_at, 1);
+        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
         let body = bytes.len() - 8;
         let sum = snapshot::fnv1a64(&bytes[..body]).to_le_bytes();
         bytes[body..].copy_from_slice(&sum);
         match CountSimulation::<Frat, Xoshiro256PlusPlus>::resume(Frat, &bytes) {
-            Err(e) => assert_eq!(e, SnapshotError::UnsupportedLaw { tag: 2 }),
-            Ok(_) => panic!("a retired law tag must not resume"),
+            Err(e) => assert_eq!(e, SnapshotError::UnsupportedVersion { found: 3 }),
+            Ok(_) => panic!("a v3 snapshot must not resume"),
         }
     }
 }

@@ -93,7 +93,6 @@ pub use engine::{RunOutcome, Simulation};
 pub use error::EngineError;
 pub use obs::{EngineEvent, EngineMetrics, EngineObserver, TierTimeline, TrajectorySampler};
 pub use protocol::{check_symmetry, LeaderElection, Protocol, Role};
-pub use round::LawMode;
 pub use scheduler::{
     Interaction, ReplayScheduler, RoundRobinScheduler, Scheduler, UniformScheduler,
 };

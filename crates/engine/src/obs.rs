@@ -8,8 +8,8 @@
 //!
 //! * [`EngineObserver`] — an attachable hook that sinks structured
 //!   [`EngineEvent`]s (tier transitions, jump engage/disengage with
-//!   hysteresis context, batch-round episodes with their law and segment
-//!   shape, compactions, snapshot/resume ops), accounts per-tier
+//!   hysteresis context, batch-round episodes with their shape,
+//!   compactions, snapshot/resume ops), accounts per-tier
 //!   interactions and wall time in a monotonic-clock [`TierTimeline`], and
 //!   optionally samples a [`TrajectorySampler`] trace.
 //! * [`EngineMetrics`] — one unified snapshot of everything the engine can
@@ -45,13 +45,12 @@
 //! | `jump_disengage` | `w_active`, `w_total`, `episodes`, `skipped` (cumulative) |
 //! | `batch_engage` | `support`, `expected_run` |
 //! | `batch_exit` | `support`, `expected_run` |
-//! | `batch_episode` | `law`, `segments`, `bulk`, `collision`, `walked` |
+//! | `batch_episode` | `bulk`, `collision`, `walked` |
 //! | `compaction` | `live_before`, `live_after` (interned state ids) |
 //! | `snapshot` | `bytes` (serialized size) |
 //! | `resumed` | — |
 
 use crate::batch::BatchStats;
-use crate::round::LawMode;
 use crate::tier::{EngineTier, JumpStats, TierUsage};
 use crate::trace::Trace;
 
@@ -119,16 +118,11 @@ pub enum EngineEvent {
     BatchEpisode {
         /// Engine step count after the episode.
         step: u64,
-        /// Round law the episode drew from.
-        law: LawMode,
-        /// Collision-free segments in this episode (always 1: an episode
-        /// is one collision-free round plus its terminating collision).
-        segments: u64,
         /// Bulk (collision-free) interactions applied.
         bulk: u64,
         /// Whether the episode ended in a collision interaction.
         collision: bool,
-        /// Whether any segment ran the exact shuffled walk (leader count
+        /// Whether the round ran the exact shuffled walk (leader count
         /// near 1).
         walked: bool,
     },
@@ -231,13 +225,11 @@ impl EngineEvent {
             ),
             EngineEvent::BatchEpisode {
                 step,
-                law,
-                segments,
                 bulk,
                 collision,
                 walked,
             } => format!(
-                "{},\"law\":\"{law}\",\"segments\":{segments},\"bulk\":{bulk},\"collision\":{collision},\"walked\":{walked}}}",
+                "{},\"bulk\":{bulk},\"collision\":{collision},\"walked\":{walked}}}",
                 head(step)
             ),
             EngineEvent::Compaction {
@@ -291,8 +283,6 @@ impl EngineEvent {
             },
             "batch_episode" => EngineEvent::BatchEpisode {
                 step,
-                law: parse_law(&scan_str(line, "\"law\"")?)?,
-                segments: scan_u64(line, "\"segments\"")?,
                 bulk: scan_u64(line, "\"bulk\"")?,
                 collision: scan_bool(line, "\"collision\"")?,
                 walked: scan_bool(line, "\"walked\"")?,
@@ -318,14 +308,6 @@ fn parse_tier(name: &str) -> Option<EngineTier> {
         "compiled" => EngineTier::Compiled,
         "jump" => EngineTier::Jump,
         "batch" => EngineTier::Batch,
-        _ => return None,
-    })
-}
-
-fn parse_law(name: &str) -> Option<LawMode> {
-    Some(match name {
-        "sequence" => LawMode::SequenceExpansion,
-        "contingency" => LawMode::Contingency,
         _ => return None,
     })
 }
@@ -580,8 +562,6 @@ pub struct EngineMetrics {
     pub distinct_states_seen: u64,
     /// The tier the engine is currently dispatching to.
     pub active_tier: EngineTier,
-    /// The batch tier's configured round law.
-    pub law: LawMode,
     /// Interactions executed per tier (persistent: serialized in snapshots
     /// and restored on resume).
     pub tier_usage: TierUsage,
@@ -603,7 +583,7 @@ pub struct EngineMetrics {
 }
 
 /// Schema tag embedded in (and required from) the metrics JSON.
-pub const METRICS_SCHEMA: &str = "pp-engine-metrics/v1";
+pub const METRICS_SCHEMA: &str = "pp-engine-metrics/v2";
 
 impl EngineMetrics {
     /// Serializes the metrics as one JSON object (pretty-stable field
@@ -613,14 +593,13 @@ impl EngineMetrics {
         out.push_str(&format!(
             "{{\"schema\":\"{METRICS_SCHEMA}\",\"population\":{},\"steps\":{},\
              \"parallel_time\":{},\"support\":{},\"distinct_states_seen\":{},\
-             \"active_tier\":\"{}\",\"law\":\"{}\",",
+             \"active_tier\":\"{}\",",
             self.population,
             self.steps,
             self.parallel_time,
             self.support,
             self.distinct_states_seen,
             self.active_tier,
-            self.law,
         ));
         out.push_str(&format!(
             "\"tier_usage\":{{\"reference\":{},\"compiled\":{},\"jump\":{},\"batch\":{}}},",
@@ -719,7 +698,6 @@ impl EngineMetrics {
             support: scan_u64(text, "\"support\"")?,
             distinct_states_seen: scan_u64(text, "\"distinct_states_seen\"")?,
             active_tier: parse_tier(&scan_str(text, "\"active_tier\"")?)?,
-            law: parse_law(&scan_str(text, "\"law\"")?)?,
             tier_usage: TierUsage {
                 reference: scan_u64(usage, "\"reference\"")?,
                 compiled: scan_u64(usage, "\"compiled\"")?,
@@ -861,8 +839,6 @@ mod tests {
             },
             EngineEvent::BatchEpisode {
                 step: 700,
-                law: LawMode::Contingency,
-                segments: 1,
                 bulk: 633,
                 collision: true,
                 walked: false,
@@ -946,7 +922,6 @@ mod tests {
             support: 130,
             distinct_states_seen: 280,
             active_tier: EngineTier::Batch,
-            law: LawMode::Contingency,
             tier_usage: TierUsage {
                 reference: 1,
                 compiled: 2,

@@ -1,92 +1,32 @@
-//! The **round-law pipeline**: pluggable structures for the batch tier's
+//! The **batch round**: the statistical machinery of the batch tier's
 //! collision-free rounds.
 //!
 //! The batch tier (see [`crate::batch`] for the statistical derivation)
 //! advances a simulation by whole collision-free runs: sample the run
 //! length, sample *which* states interact, apply the interactions through
-//! the compiled cache, resolve the terminating collision. Everything
-//! except "which states interact, in what representation" is shared; this
-//! module factors that varying part into a [`RoundLaw`] and owns the
-//! machinery every law builds on — the urn scratch ([`BatchScratch`]), the
-//! run-length inversion ([`collision_free_prefix_from`]), and the
+//! the compiled cache, resolve the terminating collision. The host
+//! (`CountSimulation::batch_episode`) owns the apply loop and the
+//! collision; this module owns the rest — the urn scratch
+//! ([`BatchScratch`]), the run-length inversion
+//! ([`collision_free_prefix`]), the round draw ([`draw_round`]), and the
 //! descending-count order maintenance the engines use for draw
 //! decompositions and compaction alike.
 //!
-//! Two laws, selected by [`LawMode`] in
-//! [`EngineConfig`](crate::EngineConfig):
-//!
-//! * [`SequenceExpansionLaw`] (default) — the historical round: expand both
-//!   multisets into sequences, Fisher–Yates the responders, pair
-//!   positionally. **Bit-identical** to the pre-refactor batch tier: same
-//!   RNG stream, same draws, same state.
-//! * [`ContingencyLaw`] — draw the per-ordered-pair contingency table
-//!   directly (nested conditional hypergeometric rows, the law of
-//!   [`pp_rand::contingency_table`]) and apply each cell as one bulk count
-//!   delta. Skips the `Θ(√n)` responder shuffle and the per-interaction
-//!   apply loop whenever the table is smaller than the round
-//!   (`support² ≪ √n` — two-state epidemics, Fratricide); falls back to
-//!   sequence expansion, per segment, when the table would cost more draws
-//!   than it saves. **Law-equal**, not bit-identical: the executions equal
-//!   the reference tier in distribution (chi-square-pinned by
-//!   `tests/round_law.rs`) but consume the RNG stream differently.
-//!
-//! Law tag 2 is retired: snapshots carrying it are refused with
-//! [`SnapshotError::UnsupportedLaw`](crate::SnapshotError::UnsupportedLaw).
+//! [`draw_round`] draws both sides of the round as sparse `(state, count)`
+//! margins. When the round is not an exact walk and the per-ordered-pair
+//! contingency table is no larger than the round, it draws the table
+//! directly (nested conditional hypergeometric rows, the law of
+//! [`pp_rand::contingency_table`]) and each cell is applied as one bulk
+//! count delta — no responder shuffle, no per-interaction apply loop
+//! (two-state epidemics, Fratricide). Otherwise it expands the margins
+//! into sequences and pairs them by a responder shuffle (both sides
+//! shuffled for a walk). Either way the executions equal the reference
+//! tier in law, pinned by `tests/round_law.rs` and
+//! `tests/batch_equivalence.rs`.
 
 use crate::batch::BatchStats;
 use pp_rand::{Hypergeometric, Rng64};
 use std::cmp::Reverse;
-
-/// Which law the batch tier draws its collision-free rounds from. See the
-/// module docs for the contract: `SequenceExpansion` is bit-identical to
-/// the historical batch tier, the others are law-equal (same distribution,
-/// different RNG stream), pinned by the chi-square suite.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum LawMode {
-    /// Expanded multiset sequences paired by a responder shuffle — the
-    /// bit-identical default.
-    #[default]
-    SequenceExpansion,
-    /// Per-ordered-pair contingency table, shuffle-free when the support
-    /// is small; falls back to sequence expansion per segment otherwise.
-    Contingency,
-}
-
-impl LawMode {
-    /// Stable wire encoding, shared by engine snapshots and checkpoint
-    /// fingerprints (additions append; values never change, and the
-    /// retired tag 2 is never reused).
-    #[must_use]
-    pub fn tag(self) -> u8 {
-        match self {
-            LawMode::SequenceExpansion => 0,
-            LawMode::Contingency => 1,
-        }
-    }
-
-    /// Inverse of [`tag`](Self::tag).
-    pub(crate) fn from_tag(tag: u8) -> Option<Self> {
-        Some(match tag {
-            0 => LawMode::SequenceExpansion,
-            1 => LawMode::Contingency,
-            _ => return None,
-        })
-    }
-}
-
-impl std::fmt::Display for LawMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            LawMode::SequenceExpansion => "sequence",
-            LawMode::Contingency => "contingency",
-        })
-    }
-}
-
-/// A contingency segment falls back to sequence expansion when the table
-/// could cost more than this many conditional draws per bulk interaction —
-/// past that, the `Θ(bulk)` shuffle it replaces is the cheaper structure.
-pub(crate) const CELL_FALLBACK_FACTOR: u64 = 1;
 
 /// Rows with margins below this cutoff are drawn as sequential weighted
 /// picks (one `O(support)` scan each) instead of a full conditional
@@ -143,37 +83,31 @@ pub(crate) fn repair_descending(ids: &mut [u32], key: impl Fn(u32) -> u64) {
 /// flag says a collision interaction terminates the run inside the budget.
 ///
 /// Exact single-uniform inversion of `P(L ≥ m) = Π_{j<m}
-/// (n−used−2j)(n−used−2j−1) / (n(n−1))`, the continuation law of a round
-/// already in progress: `used` agents have interacted since the urns were
-/// seeded, and each successive interaction must avoid every one of them,
-/// not just this segment's. The product is accumulated incrementally, so
-/// the cost is `O(min(L, budget))` multiplications.
-///
-/// With `used = 0` this is bit-identical to the original fresh-round
-/// sampler (same uniform, same f64 product sequence), and the first step
-/// is always collision-free (`P(L ≥ 1) = 1`), so the returned length is at
-/// least 1 for any positive budget. With `used > 0` the first step can
-/// already collide, so the returned length may be 0.
-pub(crate) fn collision_free_prefix_from<R: Rng64 + ?Sized>(
+/// (n−2j)(n−2j−1) / (n(n−1))`: every round starts from fresh urns, and
+/// each successive interaction must avoid the `2j` agents already used.
+/// The product is accumulated incrementally, so the cost is
+/// `O(min(L, budget))` multiplications. The first step is always
+/// collision-free (`P(L ≥ 1) = 1`), so the returned length is at least 1
+/// for any positive budget.
+pub(crate) fn collision_free_prefix<R: Rng64 + ?Sized>(
     rng: &mut R,
     n: u64,
-    used: u64,
     budget: u64,
 ) -> (u64, bool) {
-    debug_assert!(n >= 2 && budget >= 1 && used <= n);
+    debug_assert!(n >= 2 && budget >= 1);
     let u = rng.unit_f64();
-    invert_prefix(u, n, used, budget)
+    invert_prefix(u, n, budget)
 }
 
-/// The deterministic inversion behind [`collision_free_prefix_from`]:
-/// walks the survival product for the single uniform `u`. Split out so the
-/// tests can pin it at crafted uniforms.
+/// The deterministic inversion behind [`collision_free_prefix`]: walks the
+/// survival product for the single uniform `u`. Split out so the tests can
+/// pin it at crafted uniforms.
 ///
 /// The product multiplies factors in `[0, 1]`, so it is monotone
 /// non-increasing even in f64, and it reaches exact `0.0` once the fresh
 /// urn drops below 2 agents — the loop terminates for any `u`, including
-/// `u = 0`, after at most `(n − used)/2 + 1` steps.
-pub(crate) fn invert_prefix(u: f64, n: u64, used: u64, budget: u64) -> (u64, bool) {
+/// `u = 0`, after at most `n/2 + 1` steps.
+pub(crate) fn invert_prefix(u: f64, n: u64, budget: u64) -> (u64, bool) {
     let denom = n as f64 * (n - 1) as f64;
     let mut survive = 1.0f64;
     let mut m = 0u64;
@@ -181,7 +115,7 @@ pub(crate) fn invert_prefix(u: f64, n: u64, used: u64, budget: u64) -> (u64, boo
         if m == budget {
             return (budget, false);
         }
-        let fresh = (n - used).saturating_sub(2 * m);
+        let fresh = n.saturating_sub(2 * m);
         let step = if fresh >= 2 {
             fresh as f64 * (fresh - 1) as f64 / denom
         } else {
@@ -204,7 +138,7 @@ pub(crate) fn invert_prefix(u: f64, n: u64, used: u64, budget: u64) -> (u64, boo
 /// round, initialized from the engine counts) and the **used** urn (agents
 /// that already interacted this round, holding their *post*-transition
 /// states), plus the expansion buffers of the initiator/responder
-/// sequences and the margin/cell buffers of the contingency law.
+/// sequences and the margin/cell buffers of the round draw.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BatchScratch {
     /// Per-state counts of untouched agents.
@@ -221,10 +155,9 @@ pub(crate) struct BatchScratch {
     pub init_seq: Vec<u32>,
     /// Responder state sequence of the round (expanded multiset).
     pub resp_seq: Vec<u32>,
-    /// Initiator margins `(state, count)` of a contingency segment, in
-    /// visiting order.
+    /// Initiator margins `(state, count)` of the round, in visiting order.
     pub init_margin: Vec<(u32, u64)>,
-    /// Responder margins `(state, count)` of a contingency segment.
+    /// Responder margins `(state, count)` of the round.
     pub resp_margin: Vec<(u32, u64)>,
     /// Remaining responder margins while cells are drawn (parallel to
     /// `resp_margin`).
@@ -284,56 +217,10 @@ impl BatchScratch {
     }
 
     /// Draws a `draws`-element multiset from the fresh urn (without
-    /// replacement) by conditional hypergeometric decomposition, appending
-    /// the expanded state sequence to `init_seq` or `resp_seq` and removing
-    /// the drawn agents from the urn.
-    pub(crate) fn draw_multiset<R: Rng64 + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        draws: u64,
-        responders: bool,
-    ) {
-        debug_assert!(draws <= self.fresh_total);
-        let seq = if responders {
-            &mut self.resp_seq
-        } else {
-            &mut self.init_seq
-        };
-        let mut remaining = draws;
-        // Classes not yet visited form the conditioning population.
-        let mut pop = self.fresh_total;
-        for &id in &self.order {
-            if remaining == 0 {
-                break;
-            }
-            let c = self.fresh[id as usize];
-            if c == 0 {
-                pop -= c;
-                continue;
-            }
-            let x = if pop == c {
-                remaining
-            } else {
-                Hypergeometric::new(pop, c, remaining)
-                    .expect("class within remaining population")
-                    .sample(rng)
-            };
-            // Run-length fill (no RNG involved; only the expansion speed).
-            seq.resize(seq.len() + x as usize, id);
-            self.fresh[id as usize] -= x;
-            remaining -= x;
-            pop -= c;
-        }
-        debug_assert_eq!(remaining, 0, "classes must exhaust the draws");
-        self.fresh_total -= draws;
-    }
-
-    /// Draws a `draws`-element multiset from the fresh urn like
-    /// [`draw_multiset`](Self::draw_multiset) — same decomposition, same
-    /// law — but records it sparsely as `(state, count)` margins instead
-    /// of expanding it, removing the drawn agents from the urn. The
-    /// contingency law's entry point: margins feed
-    /// [`draw_cells`](Self::draw_cells) or, on fallback, expand via
+    /// replacement) by conditional hypergeometric decomposition in visiting
+    /// order, recording it sparsely as `(state, count)` margins and
+    /// removing the drawn agents from the urn. The margins feed
+    /// [`draw_cells`](Self::draw_cells) or expand via
     /// [`expand_margins`](Self::expand_margins).
     pub(crate) fn draw_margins<R: Rng64 + ?Sized>(
         &mut self,
@@ -349,6 +236,7 @@ impl BatchScratch {
         };
         margin.clear();
         let mut remaining = draws;
+        // Classes not yet visited form the conditioning population.
         let mut pop = self.fresh_total;
         for &id in &self.order {
             if remaining == 0 {
@@ -376,10 +264,10 @@ impl BatchScratch {
         self.fresh_total -= draws;
     }
 
-    /// Expands the margin lists of the current segment into `init_seq` /
-    /// `resp_seq` (run-length, visiting order) — the fallback from a
-    /// too-large contingency table back to the sequence representation.
-    /// The caller still owes the responder shuffle.
+    /// Expands the margin lists of the round into `init_seq` / `resp_seq`
+    /// (run-length, visiting order) — the sequence representation used when
+    /// the contingency table would be too large or the round is walked.
+    /// The caller still owes the shuffles.
     pub(crate) fn expand_margins(&mut self) {
         self.init_seq.clear();
         for &(id, c) in &self.init_margin {
@@ -513,13 +401,12 @@ impl BatchScratch {
 }
 
 // ---------------------------------------------------------------------------
-// Laws.
+// The round draw.
 // ---------------------------------------------------------------------------
 
-/// How a segment's interaction structure is represented for the apply
-/// loop.
+/// How a round's interaction structure is represented for the apply loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SegmentDraw {
+pub(crate) enum RoundDraw {
     /// `init_seq[i]` interacts with `resp_seq[i]`, in order — required by
     /// exact walks, which need a uniformly interleaved sequence.
     Sequences,
@@ -528,87 +415,39 @@ pub(crate) enum SegmentDraw {
     Cells,
 }
 
-/// One law for drawing a collision-free segment's interaction structure
-/// out of the fresh urn. The host (`CountSimulation::batch_episode`) owns
-/// everything else: run lengths, the apply loop, collision resolution, urn
-/// merging.
-///
-/// Contract: `draw_segment` removes exactly `2·bulk` agents from the fresh
-/// urn and returns the representation it filled. With `walk` set the host
-/// needs a uniformly interleaved pair *sequence* (both sides shuffled), so
-/// every law must return [`SegmentDraw::Sequences`] there.
-pub(crate) trait RoundLaw {
-    /// Draws one segment's structure. See the trait docs for the
-    /// contract.
-    fn draw_segment<R: Rng64>(
-        scratch: &mut BatchScratch,
-        rng: &mut R,
-        bulk: u64,
-        walk: bool,
-        stats: &mut BatchStats,
-    ) -> SegmentDraw;
-}
-
-/// The bit-identical default law (see the module docs).
-pub(crate) struct SequenceExpansionLaw;
-
-impl RoundLaw for SequenceExpansionLaw {
-    fn draw_segment<R: Rng64>(
-        scratch: &mut BatchScratch,
-        rng: &mut R,
-        bulk: u64,
-        walk: bool,
-        _stats: &mut BatchStats,
-    ) -> SegmentDraw {
-        scratch.init_seq.clear();
-        scratch.resp_seq.clear();
-        scratch.draw_multiset(rng, bulk, false);
-        scratch.draw_multiset(rng, bulk, true);
-        // Pairing: a uniformly permuted responder sequence against the
-        // initiators realizes the uniformly random matching.
-        rng.shuffle(&mut scratch.resp_seq);
-        if walk {
-            // Both sequences uniformly permuted makes the round's pair
-            // sequence a uniformly random interleaving — the conditional
-            // law of the true process given the drawn multisets.
-            rng.shuffle(&mut scratch.init_seq);
-        }
-        SegmentDraw::Sequences
-    }
-}
-
-/// The shuffle-free contingency law (see the module docs).
-pub(crate) struct ContingencyLaw;
-
-impl RoundLaw for ContingencyLaw {
-    fn draw_segment<R: Rng64>(
-        scratch: &mut BatchScratch,
-        rng: &mut R,
-        bulk: u64,
-        walk: bool,
-        stats: &mut BatchStats,
-    ) -> SegmentDraw {
-        if walk {
-            // Exact walks need an ordered interleaving; the table holds
-            // only aggregates.
-            return SequenceExpansionLaw::draw_segment(scratch, rng, bulk, walk, stats);
-        }
-        scratch.draw_margins(rng, bulk, false);
-        scratch.draw_margins(rng, bulk, true);
-        let table = scratch.init_margin.len() as u64 * scratch.resp_margin.len() as u64;
-        if table > CELL_FALLBACK_FACTOR * bulk {
-            // The table would cost more conditional draws than the shuffle
-            // it replaces: expand the margins back out and pair by
-            // permutation instead.
-            scratch.expand_margins();
-            rng.shuffle(&mut scratch.resp_seq);
-            return SegmentDraw::Sequences;
-        }
-        let draws = scratch.draw_cells(rng);
-        stats.contingency_draws += draws;
+/// Draws the interaction structure of one collision-free round of `bulk`
+/// interactions out of the fresh urn (see the module docs), removing
+/// exactly `2·bulk` agents from it. With `walk` set the host needs a
+/// uniformly interleaved pair *sequence*, so the result is always
+/// [`RoundDraw::Sequences`] there.
+pub(crate) fn draw_round<R: Rng64>(
+    scratch: &mut BatchScratch,
+    rng: &mut R,
+    bulk: u64,
+    walk: bool,
+    stats: &mut BatchStats,
+) -> RoundDraw {
+    scratch.draw_margins(rng, bulk, false);
+    scratch.draw_margins(rng, bulk, true);
+    let table = scratch.init_margin.len() as u64 * scratch.resp_margin.len() as u64;
+    if !walk && table <= bulk {
+        // The table costs no more conditional draws than the shuffle it
+        // replaces.
+        stats.contingency_draws += scratch.draw_cells(rng);
         stats.shuffle_skips += 1;
-        SegmentDraw::Cells
+        return RoundDraw::Cells;
     }
+    scratch.expand_margins();
+    // Pairing: a uniformly permuted responder sequence against the
+    // initiators realizes the uniformly random matching.
+    rng.shuffle(&mut scratch.resp_seq);
+    if walk {
+        // Both sequences uniformly permuted makes the round's pair
+        // sequence a uniformly random interleaving — the conditional law
+        // of the true process given the drawn multisets.
+        rng.shuffle(&mut scratch.init_seq);
+    }
+    RoundDraw::Sequences
 }
 
 #[cfg(test)]
@@ -625,7 +464,7 @@ mod tests {
         let mut r = rng(1);
         for n in [2u64, 3, 10, 1 << 20] {
             for budget in [1u64, 5, 1000] {
-                let (len, collide) = collision_free_prefix_from(&mut r, n, 0, budget);
+                let (len, collide) = collision_free_prefix(&mut r, n, budget);
                 assert!((1..=budget).contains(&len), "n={n} budget={budget}: {len}");
                 if collide {
                     assert!(len < budget);
@@ -639,7 +478,7 @@ mod tests {
         // With all agents used a collision is certain: L ≤ n/2.
         let mut r = rng(2);
         for _ in 0..500 {
-            let (len, collide) = collision_free_prefix_from(&mut r, 10, 0, 1000);
+            let (len, collide) = collision_free_prefix(&mut r, 10, 1000);
             assert!(len <= 5);
             assert!(collide);
         }
@@ -652,7 +491,7 @@ mod tests {
         let runs = 200_000;
         let mut two = 0u64;
         for _ in 0..runs {
-            let (len, _) = collision_free_prefix_from(&mut r, 4, 0, 2);
+            let (len, _) = collision_free_prefix(&mut r, 4, 2);
             if len == 2 {
                 two += 1;
             }
@@ -667,7 +506,7 @@ mod tests {
         let mut r = rng(4);
         let runs = 2000;
         let total: u64 = (0..runs)
-            .map(|_| collision_free_prefix_from(&mut r, n, 0, u64::MAX).0)
+            .map(|_| collision_free_prefix(&mut r, n, u64::MAX).0)
             .sum();
         let mean = total as f64 / runs as f64;
         let expect = (std::f64::consts::PI * n as f64 / 8.0).sqrt();
@@ -677,61 +516,24 @@ mod tests {
         );
     }
 
-    #[test]
-    fn continuation_prefix_law_matches_closed_form() {
-        // With u0 agents already used, P(L ≥ 1) = (n−u0)(n−u0−1)/(n(n−1)).
-        // n = 6, u0 = 2: P(L ≥ 1) = 4·3/30 = 2/5.
-        let mut r = rng(5);
-        let runs = 200_000;
-        let mut at_least_one = 0u64;
-        for _ in 0..runs {
-            let (len, collide) = collision_free_prefix_from(&mut r, 6, 2, 10);
-            assert!(len <= 2, "4 fresh agents cap the run at 2");
-            assert!(collide);
-            if len >= 1 {
-                at_least_one += 1;
-            }
-        }
-        let p = at_least_one as f64 / runs as f64;
-        assert!((p - 0.4).abs() < 0.005, "P(L >= 1 | u0=2) = {p}");
-    }
-
-    #[test]
-    fn continuation_prefix_can_return_zero_and_respects_fresh_cap() {
-        let mut r = rng(6);
-        let n = 1u64 << 10;
-        let used = n - 4;
-        let mut zeros = 0;
-        for _ in 0..200 {
-            let (len, collide) = collision_free_prefix_from(&mut r, n, used, 100);
-            assert!(len <= 2, "only 4 fresh agents remain");
-            assert!(collide);
-            zeros += u64::from(len == 0);
-        }
-        // P(L = 0) = 1 − 4·3/(n(n−1)) ≈ 1: effectively every draw is 0.
-        assert!(zeros >= 199, "{zeros}");
-    }
-
-    /// The PR 3 `Geometric` `ln_1p` bug class: f64 accumulation in the
+    /// The `Geometric` `ln_1p` bug class: f64 accumulation in the
     /// inversion loop silently truncating run lengths at huge `n`. Pin the
     /// linear-product inversion against an independent log-space inversion
-    /// at n ≥ 2^30, at crafted uniforms near both ends of the scale and
-    /// near the fresh-urn boundary.
+    /// at n = 2^30, at crafted uniforms near both ends of the scale.
     #[test]
     fn prefix_inversion_matches_log_space_at_huge_n() {
         let n: u64 = 1 << 30;
         // Uniforms span the full range `unit_f64` can produce (granularity
         // 2^-53; smaller values never occur, so the subnormal product tail
         // is outside the sampler's contract).
-        for &(used, u) in &[
-            (0u64, 1.0 - f64::EPSILON), // earliest representable stop
-            (0, 0.5),                   // the median
-            (0, 1e-9),                  // deep tail
-            (0, f64::powi(2.0, -53)),   // the smallest nonzero uniform
-            (n - (1 << 16), 0.5),       // near the fresh-urn boundary
-            ((1 << 20) - 2, 1e-6),      // heavy continuation conditioning
+        for &u in &[
+            1.0 - f64::EPSILON,  // earliest representable stop
+            0.5,                 // the median
+            1e-6,                // the tail
+            1e-9,                // deep tail
+            f64::powi(2.0, -53), // the smallest nonzero uniform
         ] {
-            let (m_lin, collide) = invert_prefix(u, n, used, u64::MAX);
+            let (m_lin, collide) = invert_prefix(u, n, u64::MAX);
             assert!(collide);
             // Independent inversion: accumulate ln(step) via ln_1p of the
             // per-step deficit, stopping where the log-survival crosses
@@ -743,7 +545,7 @@ mod tests {
             let mut log_survive = 0.0f64;
             let mut m_log = 0u64;
             loop {
-                let fresh = (n - used).saturating_sub(2 * m_log);
+                let fresh = n.saturating_sub(2 * m_log);
                 if fresh < 2 {
                     break;
                 }
@@ -756,7 +558,7 @@ mod tests {
             let tol = 2.0 + m_log as f64 * 1e-6;
             assert!(
                 (m_lin as f64 - m_log as f64).abs() <= tol,
-                "n={n} used={used} u={u:e}: linear {m_lin} vs log-space {m_log}"
+                "n={n} u={u:e}: linear {m_lin} vs log-space {m_log}"
             );
         }
     }
@@ -770,7 +572,7 @@ mod tests {
         let mut r = rng(7);
         let runs = 60;
         let total: u64 = (0..runs)
-            .map(|_| collision_free_prefix_from(&mut r, n, 0, u64::MAX).0)
+            .map(|_| collision_free_prefix(&mut r, n, u64::MAX).0)
             .sum();
         let mean = total as f64 / runs as f64;
         let expect = (std::f64::consts::PI * n as f64 / 8.0).sqrt();
@@ -813,8 +615,9 @@ mod tests {
         let mut r = rng(9);
         for _ in 0..200 {
             s.begin(&counts);
-            s.draw_multiset(&mut r, 40, false);
-            s.draw_multiset(&mut r, 40, true);
+            s.draw_margins(&mut r, 40, false);
+            s.draw_margins(&mut r, 40, true);
+            s.expand_margins();
             assert_eq!(s.init_seq.len(), 40);
             assert_eq!(s.resp_seq.len(), 40);
             assert_eq!(s.fresh_total, 175 - 80);
@@ -833,7 +636,7 @@ mod tests {
         let mut s = BatchScratch::default();
         s.begin(&[3, 2]);
         let mut r = rng(10);
-        s.draw_multiset(&mut r, 2, false);
+        s.draw_margins(&mut r, 2, false);
         s.add_used(0);
         s.add_used(1);
         assert_eq!(s.used_total, 2);
@@ -849,33 +652,6 @@ mod tests {
     }
 
     #[test]
-    fn draw_multiset_matches_reference_decomposition_draw_for_draw() {
-        // `draw_multiset` inlines (order-optimized) the conditional
-        // decomposition that `pp_rand::multivariate_hypergeometric` is the
-        // reference implementation of. With counts already in descending
-        // order the visiting orders coincide, so the same RNG stream must
-        // produce the exact same per-class counts — pinning the two
-        // implementations against drifting apart.
-        use pp_rand::multivariate_hypergeometric;
-        let counts = [500u64, 300, 200, 200, 7, 1, 0];
-        let mut s = BatchScratch::default();
-        for seed in 0..50 {
-            let mut r1 = rng(seed);
-            let mut r2 = rng(seed);
-            let draws = 1 + (seed % 200);
-            s.begin(&counts);
-            s.draw_multiset(&mut r1, draws, false);
-            let mut drawn = vec![0u64; counts.len()];
-            for &id in &s.init_seq {
-                drawn[id as usize] += 1;
-            }
-            let mut reference = vec![0u64; counts.len()];
-            multivariate_hypergeometric(&mut r2, &counts, draws, &mut reference);
-            assert_eq!(drawn, reference, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn multiset_marginals_match_hypergeometric_means() {
         let counts = [500u64, 300, 200];
         let draws = 100u64;
@@ -885,9 +661,9 @@ mod tests {
         let mut sums = [0u64; 3];
         for _ in 0..runs {
             s.begin(&counts);
-            s.draw_multiset(&mut r, draws, false);
-            for &id in &s.init_seq {
-                sums[id as usize] += 1;
+            s.draw_margins(&mut r, draws, false);
+            for &(id, c) in &s.init_margin {
+                sums[id as usize] += c;
             }
         }
         for (i, &c) in counts.iter().enumerate() {
@@ -902,29 +678,31 @@ mod tests {
 
     #[test]
     fn margins_match_multiset_law() {
-        // draw_margins is draw_multiset without the expansion: same
-        // decomposition, same stream, so identical per-class counts.
+        // `draw_margins` inlines (order-optimized) the conditional
+        // decomposition that `pp_rand::multivariate_hypergeometric` is the
+        // reference implementation of. With counts already in descending
+        // order the visiting orders coincide, so the same RNG stream must
+        // produce the exact same per-class counts — pinning the two
+        // implementations against drifting apart.
+        use pp_rand::multivariate_hypergeometric;
         let counts = [500u64, 300, 200, 200, 7, 1, 0];
-        let mut s1 = BatchScratch::default();
-        let mut s2 = BatchScratch::default();
+        let mut s = BatchScratch::default();
         for seed in 0..50 {
             let mut r1 = rng(seed);
             let mut r2 = rng(seed);
             let draws = 1 + (seed % 200);
-            s1.begin(&counts);
-            s1.draw_multiset(&mut r1, draws, false);
-            s2.begin(&counts);
-            s2.draw_margins(&mut r2, draws, false);
-            let mut expanded = vec![0u64; counts.len()];
-            for &id in &s1.init_seq {
-                expanded[id as usize] += 1;
+            s.begin(&counts);
+            s.draw_margins(&mut r1, draws, false);
+            let mut drawn = vec![0u64; counts.len()];
+            for &(id, c) in &s.init_margin {
+                drawn[id as usize] += c;
             }
-            let mut sparse = vec![0u64; counts.len()];
-            for &(id, c) in &s2.init_margin {
-                sparse[id as usize] += c;
+            let mut reference = vec![0u64; counts.len()];
+            multivariate_hypergeometric(&mut r2, &counts, draws, &mut reference);
+            assert_eq!(drawn, reference, "seed {seed}");
+            for (id, &c) in counts.iter().enumerate() {
+                assert_eq!(s.fresh[id] + drawn[id], c, "seed {seed}: urn diverged");
             }
-            assert_eq!(expanded, sparse, "seed {seed}");
-            assert_eq!(s1.fresh, s2.fresh, "seed {seed}: urns diverged");
         }
     }
 
@@ -937,16 +715,16 @@ mod tests {
         for trial in 0..300 {
             s.begin(&counts);
             let bulk = 20 + (trial % 150);
-            let draw = ContingencyLaw::draw_segment(&mut s, &mut r, bulk, false, &mut stats);
+            let draw = draw_round(&mut s, &mut r, bulk, false, &mut stats);
             let (mut init, mut resp) = (vec![0u64; 5], vec![0u64; 5]);
             match draw {
-                SegmentDraw::Cells => {
+                RoundDraw::Cells => {
                     for &(a, b, c) in &s.cells {
                         init[a as usize] += c;
                         resp[b as usize] += c;
                     }
                 }
-                SegmentDraw::Sequences => {
+                RoundDraw::Sequences => {
                     for &id in &s.init_seq {
                         init[id as usize] += 1;
                     }
@@ -987,8 +765,8 @@ mod tests {
         let mut reference_hist = [0u64; 6];
         for _ in 0..runs {
             s.begin(&counts);
-            let draw = ContingencyLaw::draw_segment(&mut s, &mut r1, 5, false, &mut stats);
-            assert_eq!(draw, SegmentDraw::Cells);
+            let draw = draw_round(&mut s, &mut r1, 5, false, &mut stats);
+            assert_eq!(draw, RoundDraw::Cells);
             let c00: u64 = s
                 .cells
                 .iter()
@@ -1027,14 +805,14 @@ mod tests {
     #[test]
     fn contingency_falls_back_on_wide_support() {
         // 40 distinct classes and a bulk of 30: the 1600-cell table loses
-        // to the shuffle, so the law must expand instead.
+        // to the shuffle, so the round must expand instead.
         let counts: Vec<u64> = (0..40).map(|_| 50u64).collect();
         let mut s = BatchScratch::default();
         let mut r = rng(15);
         let mut stats = BatchStats::default();
         s.begin(&counts);
-        let draw = ContingencyLaw::draw_segment(&mut s, &mut r, 30, false, &mut stats);
-        assert_eq!(draw, SegmentDraw::Sequences);
+        let draw = draw_round(&mut s, &mut r, 30, false, &mut stats);
+        assert_eq!(draw, RoundDraw::Sequences);
         assert_eq!(s.init_seq.len(), 30);
         assert_eq!(s.resp_seq.len(), 30);
         assert_eq!(stats.shuffle_skips, 0);
@@ -1047,19 +825,9 @@ mod tests {
         let mut r = rng(16);
         let mut stats = BatchStats::default();
         s.begin(&counts);
-        let draw = ContingencyLaw::draw_segment(&mut s, &mut r, 20, true, &mut stats);
-        assert_eq!(draw, SegmentDraw::Sequences);
+        let draw = draw_round(&mut s, &mut r, 20, true, &mut stats);
+        assert_eq!(draw, RoundDraw::Sequences);
         assert_eq!(s.init_seq.len(), 20);
         assert_eq!(stats.shuffle_skips, 0);
-    }
-
-    #[test]
-    fn law_mode_tags_round_trip() {
-        for mode in [LawMode::SequenceExpansion, LawMode::Contingency] {
-            assert_eq!(LawMode::from_tag(mode.tag()), Some(mode));
-        }
-        // Tag 2 belonged to the retired multi-round law.
-        assert_eq!(LawMode::from_tag(2), None);
-        assert_eq!(LawMode::from_tag(3), None);
     }
 }

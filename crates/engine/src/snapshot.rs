@@ -56,7 +56,9 @@ use std::fmt;
 /// contingency/segment counters to the tier section. Version 3 appended
 /// the per-tier interaction usage counters to the tier section so resumed
 /// runs keep attributing past work in [`metrics`](crate::CountSimulation::metrics).
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// Version 4 dropped the round-law byte from the config section: the batch
+/// tier has one round.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// 8-byte magic prefix identifying count-engine snapshots.
 pub(crate) const MAGIC: [u8; 8] = *b"PPENGSNP";
@@ -89,12 +91,6 @@ pub enum SnapshotError {
         /// Tag of the offending section.
         tag: u16,
     },
-    /// The snapshot selects a batch-tier round law this build does not
-    /// implement — e.g. tag 2, the retired multi-round law.
-    UnsupportedLaw {
-        /// The round-law tag found in the config section.
-        tag: u8,
-    },
     /// The bytes decoded, but describe an inconsistent simulation (count
     /// mismatches, out-of-range ids, duplicate states, invalid RNG state…).
     Corrupt(&'static str),
@@ -112,12 +108,6 @@ impl fmt::Display for SnapshotError {
             SnapshotError::ChecksumMismatch => f.write_str("snapshot checksum mismatch"),
             SnapshotError::BadSectionLength { tag } => {
                 write!(f, "snapshot section {tag} has a corrupted length")
-            }
-            SnapshotError::UnsupportedLaw { tag } => {
-                write!(
-                    f,
-                    "snapshot uses round-law tag {tag}, which this build does not implement"
-                )
             }
             SnapshotError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
         }
@@ -227,10 +217,6 @@ impl SnapshotWriter {
 
     pub(crate) fn put_bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
-    }
-
-    pub(crate) fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
     }
 
     pub(crate) fn put_u16(&mut self, v: u16) {

@@ -5,7 +5,7 @@
 //! a scratch directory, then assembles the per-group JSON the criterion
 //! stand-in emits into the tracked snapshot: machine/harness metadata, the
 //! per-group benchmark records, and the headline numbers (the `P_LL`
-//! step-rate workload on the batch tier, the round laws, the whole-election
+//! step-rate workload on the batch tier, the whole-election
 //! jump workload, and the observability layer's attached-vs-detached
 //! spread) with their
 //! speedups against the frozen pre-PR-2 baseline and the scalar batch
@@ -27,7 +27,7 @@
 //! the tracked file with full samples on a quiet machine.
 
 use pp_core::Pll;
-use pp_engine::{CountSimulation, EngineConfig, EngineMetrics, EngineObserver, LawMode};
+use pp_engine::{CountSimulation, EngineMetrics, EngineObserver};
 use pp_protocols::Fratricide;
 use pp_rand::Xoshiro256PlusPlus;
 use std::collections::BTreeMap;
@@ -88,10 +88,6 @@ fn main() {
     assert!(
         groups.contains_key("engine/count_steps_batch"),
         "batch tier group missing from bench output"
-    );
-    assert!(
-        groups.contains_key("engine/count_steps_round"),
-        "round-law group missing from bench output"
     );
     assert!(
         groups.contains_key("engine/count_steps_obs"),
@@ -300,16 +296,6 @@ fn headline_metrics(quick: bool) -> BTreeMap<&'static str, EngineMetrics> {
     out.insert("step_workload", sim.metrics());
 
     let rng = Xoshiro256PlusPlus::seed_from_u64(1);
-    let config = EngineConfig {
-        law_mode: LawMode::Contingency,
-        ..EngineConfig::default()
-    };
-    let mut sim = CountSimulation::with_config(Fratricide, n, rng, config).expect("n >= 2");
-    sim.force_batch_mode();
-    sim.run(window);
-    out.insert("round_law_workload", sim.metrics());
-
-    let rng = Xoshiro256PlusPlus::seed_from_u64(1);
     let mut sim = CountSimulation::new(Fratricide, n, rng).expect("n >= 2");
     let outcome = sim.run_until_single_leader(u64::MAX);
     assert!(outcome.converged, "headline election must converge");
@@ -342,15 +328,6 @@ fn render_snapshot(
     let compiled_rate = compiled_pll.elements_per_second.expect("throughput group");
     let election_secs = election.median_secs;
     let effective = ELECTION_SIM_INTERACTIONS / election_secs;
-    let round_rate = |protocol: &str, law: &str| {
-        find(
-            groups,
-            "engine/count_steps_round",
-            &format!("{protocol}/1048576/{law}"),
-        )
-        .elements_per_second
-        .expect("throughput group")
-    };
     let obs_rate = |row: &str| {
         find(
             groups,
@@ -397,33 +374,6 @@ fn render_snapshot(
         "      \"compiled_tier_interactions_per_second\": {compiled_rate},\n"
     ));
     out.push_str("      \"note\": \"The batch tier processes collision-free Theta(sqrt(n))-length rounds through multivariate hypergeometric draws, so P_LL's ~0.56 null fraction (which keeps the jump scheduler disengaged) no longer matters: per-interaction cost is O((support + sqrt(n))/sqrt(n)) amortized. This clears the PR-2 acceptance target (>= 5x the pre-compiled baseline, i.e. >= 24M int/s) that the compiled and jump tiers had missed twice. State-id compaction also shrinks the sampler tree and pair table to the live support, which is what lifts the state-unbounded lottery onto the fast tiers.\"\n");
-    out.push_str("    },\n");
-    out.push_str("    \"round_law_workload\": {\n");
-    out.push_str("      \"case\": \"CountSimulation / Fratricide + Pll / n = 2^20, mid-election steps under each batch round law (engine/count_steps_round, batch pinned, adjacent rows)\",\n");
-    out.push_str(&engine_metrics_line("round_law_workload"));
-    out.push_str("      \"fratricide_interactions_per_second\": {\n");
-    for (i, law) in ["sequence", "contingency"].iter().enumerate() {
-        out.push_str(&format!(
-            "        \"{law}\": {}{}\n",
-            round_rate("fratricide", law),
-            if i < 1 { "," } else { "" }
-        ));
-    }
-    out.push_str("      },\n");
-    out.push_str(&format!(
-        "      \"contingency_speedup_vs_sequence_small_support\": {:.2},\n",
-        round_rate("fratricide", "contingency") / round_rate("fratricide", "sequence")
-    ));
-    out.push_str("      \"pll_interactions_per_second\": {\n");
-    for (i, law) in ["sequence", "contingency"].iter().enumerate() {
-        out.push_str(&format!(
-            "        \"{law}\": {}{}\n",
-            round_rate("pll", law),
-            if i < 1 { "," } else { "" }
-        ));
-    }
-    out.push_str("      },\n");
-    out.push_str("      \"note\": \"On a small-support protocol (fratricide: two live states, so the per-ordered-pair table has <= 4 cells) the contingency law replaces the O(sqrt n) responder expansion + shuffle and the per-interaction apply loop with a handful of nested-hypergeometric cell draws and bulk count deltas — the speedup over the bit-identical sequence-expansion law is the headline ratio above, measured in adjacent rows of one group. On the wide-support control (P_LL, ~130 live states mid-election) the table overflows its cap (cells > bulk), the law falls back to expand-and-shuffle per segment, and the two rows agree within noise — the dispatch itself costs nothing measurable (the chi-square suite tests/round_law.rs pins both laws to the reference distribution).\"\n");
     out.push_str("    },\n");
     out.push_str("    \"election_workload\": {\n");
     out.push_str("      \"case\": \"CountSimulation / Fratricide / n = 2^20, whole election (engine/election_jump)\",\n");

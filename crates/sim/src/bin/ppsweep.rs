@@ -234,6 +234,11 @@ where
         eprintln!("ppsweep: every population size must be >= 2");
         return Ok(1);
     }
+    if cli.spec.seeds >= 1 << 32 {
+        // Job seeds pack the seed index into 32 bits.
+        eprintln!("ppsweep: --seeds must be below 2^32\n\n{USAGE}");
+        return Ok(1);
+    }
     match cli.mode {
         Mode::Sequential => {
             enable_sweep_rollup();

@@ -8,7 +8,7 @@
 //! last journal append / snapshot; rerunning the same sweep with the same
 //! checkpoint directory picks up where it left off.
 //!
-//! # Journal format (`ppsweep v3`)
+//! # Journal format (`ppsweep v4`)
 //!
 //! The header line fingerprints the sweep parameters **and the execution
 //! mode**. Two record kinds follow:
@@ -47,11 +47,9 @@
 //! same boundaries and stays bit-identical to the same job run without the
 //! kill *at the same interval*. A segment boundary cuts a batch round short,
 //! so the two modes sample the same law but are not bit-comparable to each
-//! other: the mode is part of the journal fingerprint, as is the batch
-//! tier's round law ([`crate::sweep_law_mode`], the `PP_SIM_LAW` override)
-//! — resuming under a different mode or round law is an `InvalidData`
-//! error, not a silent law-only answer. The bundle width is not
-//! fingerprinted: it changes no result.
+//! other: the mode is part of the journal fingerprint — resuming under a
+//! different mode is an `InvalidData` error, not a silent law-only answer.
+//! The bundle width is not fingerprinted: it changes no result.
 //!
 //! [`stabilization_sweep`]: crate::stabilization_sweep
 //! [`parallel_map`]: crate::parallel_map
@@ -59,7 +57,7 @@
 use crate::runner::{
     aggregate_points, fresh_engine, run_bundle, sweep_bundles, sweep_jobs, SweepPoint,
 };
-use pp_engine::{CountSimulation, LawMode, LeaderElection, SnapshotState};
+use pp_engine::{CountSimulation, LeaderElection, SnapshotState};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, Write};
@@ -72,8 +70,10 @@ pub(crate) const JOURNAL_FILE: &str = "journal.txt";
 /// Journal header prefix; the version is part of the format. `v2` added
 /// bundle blocks and the execution mode in the fingerprint; `v3` made every
 /// job an independent election, so results no longer depend on the bundle
-/// width.
-pub(crate) const HEADER_PREFIX: &str = "ppsweep v3";
+/// width; `v4` dropped the round-law word from the fingerprint when the
+/// batch tier kept one round (a `v3` journal's default-law results differ
+/// from it).
+pub(crate) const HEADER_PREFIX: &str = "ppsweep v4";
 
 /// Where and how a sweep checkpoints.
 #[derive(Debug, Clone)]
@@ -133,7 +133,7 @@ pub enum SweepStatus {
 /// invocation left there. The bundle width is [`crate::sweep_lane_width`].
 ///
 /// See the [module docs](self) for the determinism contract. The sweep
-/// parameters — including the execution mode and round law — are
+/// parameters — including the execution mode — are
 /// fingerprinted into the journal header; reusing a checkpoint directory
 /// with different parameters is an error (`InvalidData`), not a silent
 /// wrong answer.
@@ -190,14 +190,12 @@ where
     F: Fn(usize) -> P + Sync,
 {
     let jobs = sweep_jobs(ns, seeds, master_seed);
-    let law = crate::sweep_law_mode();
     let fp = fingerprint(
         ns,
         seeds,
         master_seed,
         max_steps,
         ckpt.snapshot_interval.is_some(),
-        law,
     );
     std::fs::create_dir_all(&ckpt.dir)?;
     let journal_path = ckpt.dir.join(JOURNAL_FILE);
@@ -214,7 +212,7 @@ where
                     let (n, seed) = jobs[i];
                     let snapshot_path = job_snapshot_path(&ckpt.dir, i);
                     let (converged, time) =
-                        run_job(&make, n, seed, max_steps, interval, &snapshot_path, law);
+                        run_job(&make, n, seed, max_steps, interval, &snapshot_path);
                     // Journal the result before discarding the snapshot, so a
                     // crash between the two at worst redoes a completed job.
                     {
@@ -264,7 +262,7 @@ where
             if !to_run.is_empty() {
                 let journal = Mutex::new(open_journal_for_append(&journal_path, fp)?);
                 let fresh = crate::parallel_map(&to_run, |bundle| {
-                    let results = run_bundle(&make, bundle.n, &bundle.seeds, max_steps, law);
+                    let results = run_bundle(&make, bundle.n, &bundle.seeds, max_steps);
                     // One buffered append per bundle: the bundle marker plus
                     // its job records land in a single write, so a crash
                     // tears at most the final block (tolerated on load).
@@ -313,7 +311,6 @@ where
 /// Runs one snapshot-interval mode sweep job, resuming from its snapshot
 /// file when a readable one exists and writing fresh snapshots at every
 /// interval boundary.
-#[allow(clippy::too_many_arguments)]
 fn run_job<P, F>(
     make: &F,
     n: usize,
@@ -321,7 +318,6 @@ fn run_job<P, F>(
     max_steps: u64,
     interval: u64,
     snapshot_path: &Path,
-    law: LawMode,
 ) -> (bool, f64)
 where
     P: LeaderElection,
@@ -330,12 +326,11 @@ where
 {
     // An unreadable or corrupt snapshot degrades to restarting the job from
     // its seed — same trajectory, just recomputed (segment boundaries are a
-    // function of the step counter, so the replay takes the same path; the
-    // snapshot carries the round law, which matches the fingerprinted one).
+    // function of the step counter, so the replay takes the same path).
     let resumed = std::fs::read(snapshot_path)
         .ok()
         .and_then(|bytes| CountSimulation::resume(make(n), &bytes).ok());
-    let mut sim = resumed.unwrap_or_else(|| fresh_engine(make, n, seed, law));
+    let mut sim = resumed.unwrap_or_else(|| fresh_engine(make, n, seed));
 
     let interval = interval.max(1);
     loop {
@@ -369,16 +364,13 @@ pub(crate) fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// FNV-1a 64 over the sweep parameters plus the execution mode: the
 /// journal's compatibility check. `snapshots` is whether jobs run in
 /// snapshot-interval segments — the two modes' results agree in law but
-/// not bit-for-bit, and neither do runs under different round laws (`law`
-/// is the `PP_SIM_LAW` resolution), so mixing them in one journal must be
-/// rejected.
+/// not bit-for-bit, so mixing them in one journal must be rejected.
 pub(crate) fn fingerprint(
     ns: &[usize],
     seeds: u64,
     master_seed: u64,
     max_steps: u64,
     snapshots: bool,
-    law: LawMode,
 ) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |word: u64| {
@@ -395,7 +387,6 @@ pub(crate) fn fingerprint(
     eat(master_seed);
     eat(max_steps);
     eat(u64::from(snapshots));
-    eat(u64::from(law.tag()));
     h
 }
 
@@ -749,18 +740,6 @@ mod tests {
         )
         .expect_err("mode mismatch must error");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn fingerprint_separates_round_laws() {
-        // Different round laws consume the RNG differently, so their
-        // journals are not interchangeable — the law tag must perturb the
-        // fingerprint in both execution modes.
-        for snapshots in [false, true] {
-            let base = fingerprint(&[16], 2, 1, u64::MAX, snapshots, LawMode::SequenceExpansion);
-            let other = fingerprint(&[16], 2, 1, u64::MAX, snapshots, LawMode::Contingency);
-            assert_ne!(base, other);
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! ```text
 //! dir/
 //!   claims/<start>.claim   cross-process bundle claims (create_new is atomic)
-//!   shard_<k>/journal.txt  ppsweep v3 journal of the jobs shard k ran
+//!   shard_<k>/journal.txt  ppsweep v4 journal of the jobs shard k ran
 //!   shard_<k>/manifest.json  machine-readable shard exit summary
 //!   shard_<k>/progress.txt   "done total" snapshot for live aggregation
 //!   journal.txt            canonical merged journal (written by the merge)
@@ -32,7 +32,7 @@
 //! # Merge contract
 //!
 //! Every job is one fresh election whose result is a deterministic function
-//! of `(protocol, n, seed, law, max_steps)` — never of which process,
+//! of `(protocol, n, seed, max_steps)` — never of which process,
 //! thread, bundle, or retry round ran it — and shard journals record exact `f64`
 //! bit patterns. The merge unions the shard journals (refusing mismatched
 //! fingerprints and, defensively, conflicting duplicates), then renders the
@@ -115,8 +115,8 @@ pub struct FabricSpec {
 
 impl FabricSpec {
     /// The run's journal fingerprint: the checkpoint fingerprint of the
-    /// grid (which covers the round law, not the bundle width) extended over
-    /// the protocol name with the same FNV-1a step.
+    /// grid (which does not cover the bundle width) extended over the
+    /// protocol name with the same FNV-1a step.
     pub fn fingerprint(&self) -> u64 {
         let mut h = fingerprint(
             &self.ns,
@@ -124,7 +124,6 @@ impl FabricSpec {
             self.master_seed,
             self.max_steps,
             false,
-            crate::sweep_law_mode(),
         );
         for b in self.protocol.bytes() {
             h ^= u64::from(b);
@@ -256,7 +255,6 @@ where
     assert!(shard < MAX_SHARDS, "shard id {shard} exceeds {MAX_SHARDS}");
     let started = Instant::now();
     crate::set_sweep_shard(Some(shard));
-    let law = crate::sweep_law_mode();
     let fp = spec.fingerprint();
     let bundles = spec.bundles();
     let total = spec.total_jobs();
@@ -300,7 +298,7 @@ where
                     if !claim_bundle(&claims, bundle.start, shard) {
                         continue;
                     }
-                    let results = run_bundle(&make, bundle.n, &bundle.seeds, spec.max_steps, law);
+                    let results = run_bundle(&make, bundle.n, &bundle.seeds, spec.max_steps);
                     // One buffered append per bundle, exactly like the
                     // checkpointed sweep: a crash tears at most the final
                     // block, which the loader discards and the retry reruns.
@@ -541,7 +539,7 @@ where
 }
 
 /// Renders the canonical journal of a fully-known job list: the `ppsweep
-/// v3` header plus one bundle block per [`sweep_bundles`] entry, in
+/// v4` header plus one bundle block per [`sweep_bundles`] entry, in
 /// bundle-start order. A pure function of the results — which process ran
 /// which bundle, in what order, across how many crashes, leaves no trace —
 /// so every complete run of the same spec renders the same bytes.

@@ -46,8 +46,8 @@ pub use checkpoint::{
 };
 pub use runner::{
     enable_sweep_rollup, parallel_map, set_sweep_shard, stabilization_sweep,
-    stabilization_sweep_agents, sweep_lane_width, sweep_law_mode, sweep_shard, take_sweep_rollups,
-    SweepPoint, SweepRollup,
+    stabilization_sweep_agents, sweep_lane_width, sweep_shard, take_sweep_rollups, SweepPoint,
+    SweepRollup,
 };
 pub use trajectory::{
     observed_pll_election, pll_attribution_trajectory, ObservedElection, PllTrajectory,

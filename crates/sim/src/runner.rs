@@ -8,15 +8,10 @@
 //! unit of bookkeeping: the sweep fabric's claims and the journal blocks of
 //! the checkpointed sweep ([`sweep_lane_width`] is their default width).
 //!
-//! Two env overrides serve reproducible benchmarking: `PP_SIM_THREADS` pins
-//! the worker count, and `PP_SIM_LAW` selects the batch tier's
-//! [round law](pp_engine::LawMode) (`sequence` / `contingency`) for every
-//! engine a sweep constructs — law-equivalent execution modes, so measured
-//! distributions agree while RNG streams (and throughput) differ.
+//! One env override serves reproducible benchmarking: `PP_SIM_THREADS` pins
+//! the worker count. It changes no result, only how jobs fan out.
 
-use pp_engine::{
-    CountSimulation, EngineConfig, LawMode, LeaderElection, Simulation, UniformScheduler,
-};
+use pp_engine::{CountSimulation, LeaderElection, Simulation, UniformScheduler};
 use pp_rand::{SeedSequence, Xoshiro256PlusPlus};
 use pp_stats::Summary;
 use std::io::{IsTerminal, Write as _};
@@ -58,25 +53,6 @@ pub(crate) fn worker_count(jobs: usize) -> usize {
 /// bookkeeping only — every job runs alone, so results do not depend on it.
 pub fn sweep_lane_width() -> usize {
     DEFAULT_LANES
-}
-
-/// `PP_SIM_LAW` resolution: a recognized round-law name selects that law;
-/// anything else (including absence) falls back to the bit-identical
-/// default.
-fn law_override(raw: Option<&str>) -> LawMode {
-    match raw.map(str::trim) {
-        Some("sequence") => LawMode::SequenceExpansion,
-        Some("contingency") => LawMode::Contingency,
-        _ => LawMode::default(),
-    }
-}
-
-/// Batch-tier round law for every engine a sweep constructs: the
-/// `PP_SIM_LAW` override (`sequence` / `contingency`), default
-/// [`LawMode::SequenceExpansion`].
-pub fn sweep_law_mode() -> LawMode {
-    let law = std::env::var("PP_SIM_LAW");
-    law_override(law.as_deref().ok())
 }
 
 /// Whether [`parallel_map`] should report live progress: stderr is a
@@ -364,7 +340,7 @@ pub struct SweepPoint {
 /// fratricide sweep point at `n = 2^28` telescopes `~10^16` null
 /// interactions and completes in seconds), so the measured distribution is
 /// the per-agent engine's law at a vanishing fraction of the cost. Results
-/// are bit-for-bit deterministic for a fixed `master_seed` and round law,
+/// are bit-for-bit deterministic for a fixed `master_seed`,
 /// and equal to what the checkpointed sweep and the sweep fabric report for
 /// the same grid. Use [`stabilization_sweep_agents`] to drive the per-agent
 /// reference engine instead (e.g. to cross-validate the engines against
@@ -425,9 +401,8 @@ where
     P: LeaderElection,
     F: Fn(usize) -> P + Sync,
 {
-    let law = sweep_law_mode();
     run_jobs(ns, seeds, master_seed, |n, seed| {
-        run_election(make, n, seed, max_steps, law)
+        run_election(make, n, seed, max_steps)
     })
 }
 
@@ -553,40 +528,29 @@ pub(crate) fn sweep_bundles(
 }
 
 /// The fresh engine of one sweep job: `make(n)` on `n` agents, seeded from
-/// the job seed, drawing batch rounds from `law`. Also what snapshot-interval
-/// jobs of the checkpointed sweep start from.
+/// the job seed. Also what snapshot-interval jobs of the checkpointed sweep
+/// start from.
 pub(crate) fn fresh_engine<P, F>(
     make: &F,
     n: usize,
     seed: u64,
-    law: LawMode,
 ) -> CountSimulation<P, Xoshiro256PlusPlus>
 where
     P: LeaderElection,
     F: Fn(usize) -> P,
 {
-    let config = EngineConfig {
-        law_mode: law,
-        ..EngineConfig::default()
-    };
-    CountSimulation::with_config(make(n), n, Xoshiro256PlusPlus::seed_from_u64(seed), config)
+    CountSimulation::new(make(n), n, Xoshiro256PlusPlus::seed_from_u64(seed))
         .expect("population sizes are >= 2 by construction")
 }
 
 /// The one sweep job executor: runs a [`fresh_engine`] to a single leader
 /// within `max_steps` and returns `(converged, parallel_time)`.
-pub(crate) fn run_election<P, F>(
-    make: &F,
-    n: usize,
-    seed: u64,
-    max_steps: u64,
-    law: LawMode,
-) -> (bool, f64)
+pub(crate) fn run_election<P, F>(make: &F, n: usize, seed: u64, max_steps: u64) -> (bool, f64)
 where
     P: LeaderElection,
     F: Fn(usize) -> P,
 {
-    let outcome = fresh_engine(make, n, seed, law).run_until_single_leader(max_steps);
+    let outcome = fresh_engine(make, n, seed).run_until_single_leader(max_steps);
     (outcome.converged, outcome.parallel_time(n))
 }
 
@@ -596,7 +560,6 @@ pub(crate) fn run_bundle<P, F>(
     n: usize,
     seeds: &[u64],
     max_steps: u64,
-    law: LawMode,
 ) -> Vec<(bool, f64)>
 where
     P: LeaderElection,
@@ -604,7 +567,7 @@ where
 {
     seeds
         .iter()
-        .map(|&seed| run_election(make, n, seed, max_steps, law))
+        .map(|&seed| run_election(make, n, seed, max_steps))
         .collect()
 }
 
@@ -744,11 +707,10 @@ mod tests {
         // job-order results of a plain job-by-job traversal — same order,
         // same bits.
         let ns = [32usize, 16];
-        let law = sweep_law_mode();
         let flat = sweep_flat(&|_| Fratricide, &ns, 5, 42, u64::MAX);
         let expected: Vec<(bool, f64)> = sweep_jobs(&ns, 5, 42)
             .iter()
-            .map(|&(n, seed)| run_election(&|_| Fratricide, n, seed, u64::MAX, law))
+            .map(|&(n, seed)| run_election(&|_| Fratricide, n, seed, u64::MAX))
             .collect();
         assert_eq!(flat.len(), expected.len());
         for (a, b) in flat.iter().zip(&expected) {
@@ -769,44 +731,6 @@ mod tests {
         assert_eq!(worker_override(Some(""), 8), 8);
         assert_eq!(worker_override(None, 8), 8);
         assert_eq!(worker_override(None, 0), 1);
-    }
-
-    #[test]
-    fn law_override_recognizes_round_laws() {
-        assert_eq!(law_override(Some("sequence")), LawMode::SequenceExpansion);
-        assert_eq!(law_override(Some(" contingency ")), LawMode::Contingency);
-        // Garbage, absence and the retired `multiround` law fall back to the
-        // bit-identical default.
-        assert_eq!(law_override(Some("multiround")), LawMode::default());
-        assert_eq!(law_override(Some("hypergeometric")), LawMode::default());
-        assert_eq!(law_override(Some("")), LawMode::default());
-        assert_eq!(law_override(None), LawMode::default());
-    }
-
-    #[test]
-    fn round_laws_agree_distributionally_in_sweeps() {
-        // The round law is a law-preserving execution knob: jobs run under
-        // each law draw differently but must sample the same
-        // stabilization-time distribution (pinned tightly by the chi-square
-        // suites; this is the sweep-level smoke check).
-        let ns = [32usize];
-        let jobs = sweep_jobs(&ns, 24, 7);
-        let mut means = Vec::new();
-        for law in [LawMode::SequenceExpansion, LawMode::Contingency] {
-            let flat: Vec<(bool, f64)> = jobs
-                .iter()
-                .map(|&(n, seed)| run_election(&|_| Fratricide, n, seed, u64::MAX, law))
-                .collect();
-            let points = aggregate_points(&ns, 24, &flat);
-            assert_eq!(points[0].unconverged, 0, "{law} runs failed to converge");
-            means.push(points[0].times.mean());
-        }
-        for pair in means.windows(2) {
-            assert!(
-                (pair[0] / pair[1] - 1.0).abs() < 0.5,
-                "law means diverge: {means:?}"
-            );
-        }
     }
 
     #[test]

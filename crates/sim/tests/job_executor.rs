@@ -5,18 +5,18 @@
 //! report the same points — bit for bit, `Summary::checksum` included — at
 //! every bundle width, because a bundle is only a claim and journal
 //! granule. Each job must equal a fresh `CountSimulation` run on the job's
-//! seed. Journals written before jobs became independent (`ppsweep v2`,
-//! whose lockstep bundle results depended on the width) must be refused,
-//! not merged.
+//! seed. Journals of older formats must be refused, not merged: `ppsweep
+//! v2` (lockstep bundle results that depended on the width) and `ppsweep
+//! v3` (results drawn under the retired default round law).
 
 use pp_core::Pll;
-use pp_engine::{CountSimulation, EngineConfig, LeaderElection};
+use pp_engine::{CountSimulation, LeaderElection};
 use pp_protocols::Fratricide;
 use pp_rand::{SeedSequence, Xoshiro256PlusPlus};
 use pp_sim::fabric::{merge_shards, points_table, run_sequential, shard_dir, FabricSpec};
 use pp_sim::{
     stabilization_sweep, stabilization_sweep_checkpointed, stabilization_sweep_checkpointed_wide,
-    sweep_law_mode, CheckpointConfig, SweepPoint, SweepStatus,
+    CheckpointConfig, SweepPoint, SweepStatus,
 };
 use std::io;
 use std::path::PathBuf;
@@ -93,10 +93,6 @@ where
     F: Fn(usize) -> P + Sync,
 {
     let points = stabilization_sweep(&make, ns, seeds, master, u64::MAX);
-    let config = EngineConfig {
-        law_mode: sweep_law_mode(),
-        ..EngineConfig::default()
-    };
     let seq = SeedSequence::new(master);
     for (ni, (&n, point)) in ns.iter().zip(&points).enumerate() {
         assert_eq!(point.unconverged, 0);
@@ -104,7 +100,7 @@ where
             // The documented job seed: the packed (size index, seed index).
             let seed = seq.seed_at((ni as u64) << 32 | s);
             let rng = Xoshiro256PlusPlus::seed_from_u64(seed);
-            let mut sim = CountSimulation::with_config(make(n), n, rng, config).expect("n >= 2");
+            let mut sim = CountSimulation::new(make(n), n, rng).expect("n >= 2");
             let outcome = sim.run_until_single_leader(u64::MAX);
             assert!(outcome.converged);
             assert_eq!(
@@ -142,11 +138,26 @@ done 4 1 4043380000000000
 done 5 1 4039800000000000
 ";
 
-#[test]
-fn journal_under_the_old_format_is_refused() {
-    let ckpt = Scratch::new("v2_ckpt");
+/// A journal written by the sweep under the sequence-expansion round law
+/// for the same sweep at its default width of 8.
+const V3_JOURNAL: &str = "\
+ppsweep v3 26fa3eff7599922b
+bundle 0 3
+done 0 1 403a300000000000
+done 1 1 4033200000000000
+done 2 1 4019400000000000
+bundle 3 3
+done 3 1 4022100000000000
+done 4 1 4035000000000000
+done 5 1 4039300000000000
+";
+
+/// `journal` under a checkpoint directory and as a fabric shard journal
+/// must both be refused with `InvalidData`.
+fn assert_journal_is_refused(journal: &str, what: &str) {
+    let ckpt = Scratch::new(&format!("{what}_ckpt"));
     std::fs::create_dir_all(&ckpt.0).unwrap();
-    std::fs::write(ckpt.0.join("journal.txt"), V2_JOURNAL).unwrap();
+    std::fs::write(ckpt.0.join("journal.txt"), journal).unwrap();
     let err = stabilization_sweep_checkpointed(
         |_| Fratricide,
         &[16, 32],
@@ -155,14 +166,14 @@ fn journal_under_the_old_format_is_refused() {
         u64::MAX,
         &CheckpointConfig::new(&ckpt.0),
     )
-    .expect_err("a v2 journal must be refused");
-    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    .expect_err("an old journal must be refused");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
 
     // The fabric's merge reads shard journals through the same loader.
-    let fabric = Scratch::new("v2_fabric");
+    let fabric = Scratch::new(&format!("{what}_fabric"));
     let shard = shard_dir(&fabric.0, 0);
     std::fs::create_dir_all(&shard).unwrap();
-    std::fs::write(shard.join("journal.txt"), V2_JOURNAL).unwrap();
+    std::fs::write(shard.join("journal.txt"), journal).unwrap();
     let spec = FabricSpec {
         protocol: "fratricide".into(),
         ns: vec![16, 32],
@@ -171,6 +182,22 @@ fn journal_under_the_old_format_is_refused() {
         max_steps: u64::MAX,
         lanes: 8,
     };
-    let err = merge_shards(&spec, &fabric.0, 1).expect_err("a v2 shard journal must be refused");
-    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    let err = merge_shards(&spec, &fabric.0, 1).expect_err("an old shard journal must be refused");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+}
+
+#[test]
+fn journal_under_the_old_format_is_refused() {
+    assert_journal_is_refused(V2_JOURNAL, "v2");
+}
+
+#[test]
+fn journal_under_the_v3_format_is_refused() {
+    assert_journal_is_refused(V3_JOURNAL, "v3");
+    // Even relabelled as v4, its fingerprint (which covered the round law)
+    // does not match this sweep's.
+    assert_journal_is_refused(
+        &V3_JOURNAL.replace("ppsweep v3", "ppsweep v4"),
+        "v3_relabelled",
+    );
 }

@@ -38,6 +38,35 @@ pub fn wilson95(successes: u64, trials: u64) -> (f64, f64) {
     wilson_interval(successes, trials, 1.96)
 }
 
+/// The pooled two-proportion z statistic of `x1/n1` against `x2/n2`: the
+/// difference of the proportions over its standard error under the null
+/// hypothesis that both samples share one success probability. Returns 0
+/// when the pooled proportion is 0 or 1 (the samples cannot differ).
+///
+/// # Panics
+///
+/// Panics if either sample has no trials or more successes than trials.
+///
+/// # Example
+///
+/// ```
+/// use pp_stats::two_proportion_z;
+///
+/// assert_eq!(two_proportion_z(50, 100, 150, 300), 0.0);
+/// assert!(two_proportion_z(80, 100, 50, 100) > 3.29);
+/// ```
+pub fn two_proportion_z(x1: u64, n1: u64, x2: u64, n2: u64) -> f64 {
+    assert!(n1 > 0 && n2 > 0, "need at least one trial per sample");
+    assert!(x1 <= n1 && x2 <= n2, "more successes than trials");
+    let (n1f, n2f) = (n1 as f64, n2 as f64);
+    let pooled = (x1 + x2) as f64 / (n1f + n2f);
+    let se = (pooled * (1.0 - pooled) * (1.0 / n1f + 1.0 / n2f)).sqrt();
+    if se == 0.0 {
+        return 0.0;
+    }
+    (x1 as f64 / n1f - x2 as f64 / n2f) / se
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,6 +115,16 @@ mod tests {
     #[should_panic(expected = "more successes")]
     fn overflow_successes_panics() {
         wilson95(11, 10);
+    }
+
+    #[test]
+    fn two_proportion_z_known_values() {
+        // 60/100 vs 40/100: pooled 0.5, se = sqrt(0.25 * 0.02) = 0.0707.
+        let z = two_proportion_z(60, 100, 40, 100);
+        assert!((z - 0.2 / 0.02f64.sqrt() / 0.5).abs() < 1e-12, "z = {z}");
+        assert_eq!(two_proportion_z(40, 100, 60, 100), -z);
+        assert_eq!(two_proportion_z(0, 10, 0, 30), 0.0);
+        assert_eq!(two_proportion_z(10, 10, 30, 30), 0.0);
     }
 
     #[test]

@@ -13,9 +13,12 @@
 //! * [`chi_square_homogeneity`] / [`quantile_bins`] — Pearson homogeneity
 //!   tests over shared quantile bins, used to pin the engines' execution
 //!   paths (per-agent, compiled, jump-scheduled) to one stabilization law.
+//! * [`two_proportion_z`] — the pooled two-sample proportion test the
+//!   equivalence suites apply at a sensitive quantile.
 //! * [`theory`] — closed-form reference curves from the paper: the lottery
 //!   game bound `2^{1−i}`, the Lemma 2 epidemic tail, coupon collector,
-//!   harmonic numbers, and Chernoff evaluators.
+//!   harmonic numbers, Chernoff evaluators, and fratricide's exact
+//!   stabilization law.
 //! * [`Table`] — plain-text/markdown/CSV rendering for experiment output.
 
 #![warn(missing_docs)]
@@ -29,7 +32,7 @@ mod summary;
 mod table;
 pub mod theory;
 
-pub use binomial::{wilson95, wilson_interval};
+pub use binomial::{two_proportion_z, wilson95, wilson_interval};
 pub use chisq::{
     chi_square_critical, chi_square_homogeneity, chi_square_samples, quantile_bins, ChiSquare,
 };

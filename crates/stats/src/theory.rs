@@ -1,5 +1,22 @@
 //! Closed-form reference curves from the paper and classic results.
 
+/// Mean and variance, in interactions, of fratricide's stabilization time
+/// on `n` agents: while `k` leaders remain, an interaction demotes one with
+/// probability `p_k = k(k−1)/(n(n−1))`, so the time is a sum of independent
+/// geometrics over `k = 2..=n` with mean `Σ 1/p_k = (n−1)²` and variance
+/// `Σ (1−p_k)/p_k²`. An oracle no engine tier can share a bug with.
+pub fn fratricide_stabilization(n: u64) -> (f64, f64) {
+    let nn = n as f64 * (n as f64 - 1.0);
+    let mut mean = 0.0;
+    let mut var = 0.0;
+    for k in 2..=n {
+        let p = k as f64 * (k as f64 - 1.0) / nn;
+        mean += 1.0 / p;
+        var += (1.0 - p) / (p * p);
+    }
+    (mean, var)
+}
+
 /// The `n`-th harmonic number `H_n = Σ_{k=1}^{n} 1/k`.
 pub fn harmonic(n: u64) -> f64 {
     (1..=n).map(|k| 1.0 / k as f64).sum()
@@ -131,6 +148,18 @@ mod tests {
         let mu = 42.0 * n.ln();
         let p = chernoff_upper(mu, 16.0 / 42.0);
         assert!(p < 1e-5, "p = {p}");
+    }
+
+    #[test]
+    fn fratricide_law_closed_forms() {
+        // n = 2: one geometric with p = 1 — zero variance, one step.
+        assert_eq!(fratricide_stabilization(2), (1.0, 0.0));
+        for n in [3u64, 16, 4096] {
+            let (mean, var) = fratricide_stabilization(n);
+            let m = (n - 1) as f64;
+            assert!((mean / (m * m) - 1.0).abs() < 1e-9, "n={n}: mean {mean}");
+            assert!(var > 0.0 && var < mean * mean, "n={n}: var {var}");
+        }
     }
 
     #[test]

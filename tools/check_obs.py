@@ -7,11 +7,12 @@ Usage:
 Checks, in order:
 
 * the metrics report parses, declares the ``pp-sim-metrics/v1`` schema,
-  embeds an engine block declaring ``pp-engine-metrics/v1``, and the
+  embeds an engine block declaring ``pp-engine-metrics/v2``, and the
   engine's per-tier interaction usage sums exactly to its step count;
 * the event log is non-empty, every line parses as a JSON object with an
-  ``event`` kind and a ``step``, steps never decrease, and only known
-  event kinds appear;
+  ``event`` kind and a ``step``, steps never decrease, only known event
+  kinds appear, and every ``batch_episode`` carries its ``bulk``,
+  ``collision`` and ``walked`` fields;
 * when a trajectory CSV is given, its final row agrees with the metrics
   report's trajectory summary (same step count, same leader count), the
   leader column starts at ``n`` and the cumulative demotion total ends at
@@ -37,6 +38,8 @@ KNOWN_EVENTS = {
     "resumed",
 }
 
+BATCH_EPISODE_FIELDS = ("bulk", "collision", "walked")
+
 
 def fail(msg):
     sys.exit(f"check_obs: {msg}")
@@ -50,7 +53,7 @@ def check_metrics(path):
     engine = report.get("engine")
     if not isinstance(engine, dict):
         fail(f"{path}: missing engine metrics block")
-    if engine.get("schema") != "pp-engine-metrics/v1":
+    if engine.get("schema") != "pp-engine-metrics/v2":
         fail(f"{path}: unexpected engine schema {engine.get('schema')!r}")
     for key in ("population", "steps", "tier_usage", "jump", "batch"):
         if key not in engine:
@@ -92,6 +95,10 @@ def check_events(path):
         if step < last_step:
             fail(f"{path}:{i}: step {step} after step {last_step}")
         last_step = step
+        if kind == "batch_episode":
+            for key in BATCH_EPISODE_FIELDS:
+                if key not in event:
+                    fail(f"{path}:{i}: batch_episode missing {key!r}")
         kinds[kind] = kinds.get(kind, 0) + 1
     print(f"events ok: {len(lines)} events, kinds {kinds}")
 
