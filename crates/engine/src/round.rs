@@ -677,7 +677,7 @@ mod tests {
     }
 
     #[test]
-    fn margins_match_multiset_law() {
+    fn draw_multiset_matches_reference_decomposition_draw_for_draw() {
         // `draw_margins` inlines (order-optimized) the conditional
         // decomposition that `pp_rand::multivariate_hypergeometric` is the
         // reference implementation of. With counts already in descending
@@ -702,6 +702,50 @@ mod tests {
             assert_eq!(drawn, reference, "seed {seed}");
             for (id, &c) in counts.iter().enumerate() {
                 assert_eq!(s.fresh[id] + drawn[id], c, "seed {seed}: urn diverged");
+            }
+        }
+    }
+
+    #[test]
+    fn margins_match_multiset_law() {
+        // The sparse margins are the drawn multiset itself: one positive
+        // entry per drawn state, in the scratch visiting order, summing to
+        // the draw size — and `expand_margins` reproduces them run for run.
+        let counts = [500u64, 300, 200, 200, 7, 1, 0];
+        let mut s = BatchScratch::default();
+        for seed in 0..50 {
+            let mut r = rng(seed);
+            let draws = 1 + (seed % 200);
+            s.begin(&counts);
+            s.draw_margins(&mut r, draws, false);
+            s.draw_margins(&mut r, draws, true);
+            s.expand_margins();
+            for (margin, seq) in [(&s.init_margin, &s.init_seq), (&s.resp_margin, &s.resp_seq)] {
+                assert_eq!(
+                    margin.iter().map(|&(_, c)| c).sum::<u64>(),
+                    draws,
+                    "seed {seed}"
+                );
+                assert!(
+                    margin.iter().all(|&(_, c)| c > 0),
+                    "seed {seed}: empty margin entry"
+                );
+                let pos: Vec<usize> = margin
+                    .iter()
+                    .map(|&(id, _)| s.order.iter().position(|&o| o == id).unwrap())
+                    .collect();
+                assert!(
+                    pos.windows(2).all(|w| w[0] < w[1]),
+                    "seed {seed}: not in visiting order"
+                );
+                let mut runs: Vec<(u32, u64)> = Vec::new();
+                for &id in seq.iter() {
+                    match runs.last_mut() {
+                        Some((last, c)) if *last == id => *c += 1,
+                        _ => runs.push((id, 1)),
+                    }
+                }
+                assert_eq!(&runs, margin, "seed {seed}: expansion differs from margins");
             }
         }
     }
