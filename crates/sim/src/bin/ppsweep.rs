@@ -43,6 +43,11 @@ fn main() {
     let code = match Cli::parse(std::env::args().skip(1)) {
         Ok(cli) => match dispatch(&cli) {
             Ok(code) => code,
+            // The fabric rejects out-of-range grids and shard ids itself.
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
+                eprintln!("ppsweep: {e}\n\n{USAGE}");
+                1
+            }
             Err(e) => {
                 eprintln!("ppsweep: {e}");
                 1

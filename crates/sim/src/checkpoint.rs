@@ -17,15 +17,17 @@
 //! * `bundle <start> <len>` — a bundle marker: the `len` `done` records of
 //!   bundle `[start, start + len)` follow as one appended block.
 //!
-//! In the default bundle mode (no snapshot interval) each [`parallel_map`]
-//! worker runs one bundle — its same-`n` jobs one after another, each a
-//! fresh election — and journals the bundle's block in a single buffered
-//! append, so the bundle is the unit of crash recovery. A bundle missing
-//! *any* record (e.g. its block was torn by a crash mid-append) reruns
-//! whole on resume; runs are deterministic, so rerun jobs rewrite identical
-//! records. The job limit is bundle-granular: pending bundles are taken
-//! until the planned fresh jobs reach the limit (overshooting by at most
-//! `lanes − 1`).
+//! Every append is one bundle block, written by the sweep executor
+//! ([`crate::runner::execute`]) in a single buffered write, so a crash tears
+//! at most the final block. In the default bundle mode (no snapshot
+//! interval) a block holds a [`crate::sweep_lane_width`]-wide bundle of
+//! same-`n` jobs, each a fresh election; in snapshot-interval mode every
+//! bundle is one job, so each snapshot captures exactly one run. A bundle
+//! missing *any* record (e.g. its block was torn by a crash mid-append)
+//! reruns whole on resume; runs are deterministic, so rerun jobs rewrite
+//! identical records. The job limit is the executor's: pending bundles are
+//! taken largest-`n`-first until the taken jobs reach the limit
+//! (overshooting by at most the bundle width minus one).
 //!
 //! A journal of another format version is refused (`InvalidData`), never
 //! merged.
@@ -52,17 +54,15 @@
 //! The bundle width is not fingerprinted: it changes no result.
 //!
 //! [`stabilization_sweep`]: crate::stabilization_sweep
-//! [`parallel_map`]: crate::parallel_map
 
 use crate::runner::{
-    aggregate_points, fresh_engine, run_bundle, sweep_bundles, sweep_jobs, SweepPoint,
+    aggregate_points, execute, fresh_engine, run_election, sweep_bundles, validate_grid, Fanout,
+    SweepBundle, SweepPoint,
 };
 use pp_engine::{CountSimulation, LeaderElection, SnapshotState};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// Journal file name inside a sweep's checkpoint directory.
 pub(crate) const JOURNAL_FILE: &str = "journal.txt";
@@ -84,14 +84,15 @@ pub struct CheckpointConfig {
     /// Snapshot in-flight jobs every this many simulation steps (rounded to
     /// the next absolute multiple). `None` — the default — journals only
     /// completed bundles, which keeps the sweep bit-identical to the
-    /// uncheckpointed one; `Some` runs and journals jobs one at a time so
-    /// each snapshot captures exactly one run.
+    /// uncheckpointed one; `Some` journals jobs in one-job bundles so each
+    /// snapshot captures exactly one run.
     pub snapshot_interval: Option<u64>,
     /// Stop after completing this many *fresh* (not journaled) jobs and
     /// report [`SweepStatus::Suspended`]. `None` runs to completion. Used to
     /// bound a shard's work — and by the tests to simulate crashes at
     /// deterministic points. In bundle mode the limit is bundle-granular:
-    /// the last bundle taken may overshoot it by up to `lanes − 1` jobs.
+    /// the last bundle taken may overshoot it by up to the bundle width
+    /// minus one.
     pub job_limit: Option<usize>,
 }
 
@@ -140,8 +141,9 @@ pub enum SweepStatus {
 ///
 /// # Errors
 ///
-/// Any journal / snapshot I/O error, or a journal whose fingerprint does not
-/// match the given parameters.
+/// `InvalidInput` for a grid with `seeds ≥ 2^32` or a size below 2; the
+/// first journal or snapshot I/O error; or a journal whose fingerprint does
+/// not match the given parameters (`InvalidData`).
 pub fn stabilization_sweep_checkpointed<P, F>(
     make: F,
     ns: &[usize],
@@ -155,157 +157,54 @@ where
     P::State: SnapshotState,
     F: Fn(usize) -> P + Sync,
 {
-    stabilization_sweep_checkpointed_wide(
-        make,
-        ns,
-        seeds,
-        master_seed,
-        max_steps,
-        ckpt,
-        crate::sweep_lane_width(),
-    )
-}
-
-/// [`stabilization_sweep_checkpointed`] with an explicit bundle width: the
-/// journal block and job-limit granule. Results do not depend on it; it is
-/// ignored in snapshot-interval mode (jobs are journaled one at a time).
-///
-/// # Errors
-///
-/// Any journal / snapshot I/O error, or a journal whose fingerprint does not
-/// match the given parameters.
-#[allow(clippy::too_many_arguments)]
-pub fn stabilization_sweep_checkpointed_wide<P, F>(
-    make: F,
-    ns: &[usize],
-    seeds: u64,
-    master_seed: u64,
-    max_steps: u64,
-    ckpt: &CheckpointConfig,
-    lanes: usize,
-) -> io::Result<SweepStatus>
-where
-    P: LeaderElection,
-    P::State: SnapshotState,
-    F: Fn(usize) -> P + Sync,
-{
-    let jobs = sweep_jobs(ns, seeds, master_seed);
-    let fp = fingerprint(
-        ns,
-        seeds,
-        master_seed,
-        max_steps,
-        ckpt.snapshot_interval.is_some(),
-    );
+    validate_grid(ns, seeds)?;
+    let interval = ckpt.snapshot_interval;
+    let fp = fingerprint(ns, seeds, master_seed, max_steps, interval.is_some());
     std::fs::create_dir_all(&ckpt.dir)?;
     let journal_path = ckpt.dir.join(JOURNAL_FILE);
-    let mut done = load_journal(&journal_path, fp, jobs.len())?;
-
-    let fresh_jobs = match ckpt.snapshot_interval {
-        Some(interval) => {
-            let pending: Vec<usize> = (0..jobs.len()).filter(|i| !done.contains_key(i)).collect();
-            let budget = ckpt.job_limit.unwrap_or(usize::MAX).min(pending.len());
-            let to_run = &pending[..budget];
-            if !to_run.is_empty() {
-                let journal = Mutex::new(open_journal_for_append(&journal_path, fp)?);
-                let fresh = crate::parallel_map(to_run, |&i| {
-                    let (n, seed) = jobs[i];
-                    let snapshot_path = job_snapshot_path(&ckpt.dir, i);
-                    let (converged, time) =
-                        run_job(&make, n, seed, max_steps, interval, &snapshot_path);
-                    // Journal the result before discarding the snapshot, so a
-                    // crash between the two at worst redoes a completed job.
-                    {
-                        let mut file = journal.lock().expect("journal writers do not panic");
-                        writeln!(
-                            file,
-                            "done {i} {} {:016x}",
-                            u8::from(converged),
-                            time.to_bits()
-                        )
-                        .and_then(|()| file.flush())
-                        .expect("journal append failed");
-                    }
-                    let _ = std::fs::remove_file(&snapshot_path);
-                    (i, (converged, time))
-                });
-                done.extend(fresh);
-            }
-            to_run.len()
-        }
-        None => {
-            let bundles = sweep_bundles(ns, seeds, master_seed, lanes);
-            let limit = ckpt.job_limit.unwrap_or(usize::MAX);
-            let mut to_run = Vec::new();
-            let mut planned = 0;
-            for bundle in &bundles {
-                let range = bundle.start..bundle.start + bundle.seeds.len();
-                if range.clone().all(|i| done.contains_key(&i)) {
-                    continue;
-                }
-                if planned >= limit {
-                    break;
-                }
-                // A bundle with any job missing reruns whole: the bundle is
-                // the journal granule, and the rerun is deterministic, so
-                // it rewrites identical records for jobs whose block was
-                // partially journaled.
-                planned += bundle.seeds.len();
-                to_run.push(bundle);
-            }
-            // Largest-n-first fan-out (see [`crate::runner::cost_order`]):
-            // pending bundles are selected in job order above — keeping the
-            // job limit's semantics — then *scheduled* most-expensive-first.
-            // Results are journaled and aggregated by bundle start, so the
-            // ordering changes makespan only, never a byte of output.
-            to_run.sort_by_key(|bundle| std::cmp::Reverse(bundle.n));
-            if !to_run.is_empty() {
-                let journal = Mutex::new(open_journal_for_append(&journal_path, fp)?);
-                let fresh = crate::parallel_map(&to_run, |bundle| {
-                    let results = run_bundle(&make, bundle.n, &bundle.seeds, max_steps);
-                    // One buffered append per bundle: the bundle marker plus
-                    // its job records land in a single write, so a crash
-                    // tears at most the final block (tolerated on load).
-                    let mut block = format!("bundle {} {}\n", bundle.start, bundle.seeds.len());
-                    for (k, &(converged, time)) in results.iter().enumerate() {
-                        let _ = writeln!(
-                            block,
-                            "done {} {} {:016x}",
-                            bundle.start + k,
-                            u8::from(converged),
-                            time.to_bits()
-                        );
-                    }
-                    {
-                        let mut file = journal.lock().expect("journal writers do not panic");
-                        file.write_all(block.as_bytes())
-                            .and_then(|()| file.flush())
-                            .expect("journal append failed");
-                    }
-                    (bundle.start, results)
-                });
-                for (start, results) in fresh {
-                    for (k, result) in results.into_iter().enumerate() {
-                        done.insert(start + k, result);
-                    }
-                }
-            }
-            planned
+    let mut done = load_journal(&journal_path, fp, ns.len() * seeds as usize)?;
+    // A snapshot goes once its job's record has landed, so a crash between
+    // the two at worst redoes a completed job.
+    let discard_snapshot = |bundle: &SweepBundle, _: usize| {
+        if interval.is_some() {
+            let _ = std::fs::remove_file(job_snapshot_path(&ckpt.dir, bundle.start));
         }
     };
-
-    if done.len() < jobs.len() {
-        return Ok(SweepStatus::Suspended { fresh_jobs });
-    }
+    let fanout = Fanout {
+        job_limit: ckpt.job_limit,
+        claim: None,
+        journal: Some((&journal_path, fp)),
+        after_block: Some(&discard_snapshot),
+    };
+    let lanes = interval.map_or(crate::sweep_lane_width(), |_| 1);
+    let executed = execute(
+        &sweep_bundles(ns, seeds, master_seed, lanes),
+        &mut done,
+        &fanout,
+        |job, n, seed| match interval {
+            Some(interval) => run_job(
+                &make,
+                n,
+                seed,
+                max_steps,
+                interval,
+                &job_snapshot_path(&ckpt.dir, job),
+            ),
+            None => Ok(run_election(&make, n, seed, max_steps)),
+        },
+    )?;
 
     // Aggregate by contiguous job range in job-index order — the exact
     // traversal of the uncheckpointed sweep, so the summaries match it
     // bit-for-bit no matter which jobs came from the journal.
-    let flat: Vec<(bool, f64)> = (0..jobs.len()).map(|i| done[&i]).collect();
-    Ok(SweepStatus::Complete {
-        points: aggregate_points(ns, seeds, &flat),
-        fresh_jobs,
-    })
+    let fresh_jobs = executed.fresh_jobs;
+    match done.into_iter().collect::<Option<Vec<_>>>() {
+        Some(flat) => Ok(SweepStatus::Complete {
+            points: aggregate_points(ns, seeds, &flat),
+            fresh_jobs,
+        }),
+        None => Ok(SweepStatus::Suspended { fresh_jobs }),
+    }
 }
 
 /// Runs one snapshot-interval mode sweep job, resuming from its snapshot
@@ -318,7 +217,7 @@ fn run_job<P, F>(
     max_steps: u64,
     interval: u64,
     snapshot_path: &Path,
-) -> (bool, f64)
+) -> io::Result<(bool, f64)>
 where
     P: LeaderElection,
     P::State: SnapshotState,
@@ -342,9 +241,9 @@ where
             .min(max_steps);
         let out = sim.run_until_single_leader(target);
         if out.converged || sim.steps() >= max_steps {
-            return (out.converged, out.parallel_time(n));
+            return Ok((out.converged, out.parallel_time(n)));
         }
-        write_atomically(snapshot_path, &sim.snapshot()).expect("job snapshot write failed");
+        write_atomically(snapshot_path, &sim.snapshot())?;
     }
 }
 
@@ -390,23 +289,25 @@ pub(crate) fn fingerprint(
     h
 }
 
-/// Parses the journal at `path` (missing file → empty). Checks the header
-/// fingerprint and tolerates exactly one trailing unparseable line (a record
-/// cut short by a crash mid-append).
+/// Parses the journal at `path` into a job-indexed result table (`None`:
+/// no record; a missing file has none). Checks the header fingerprint and
+/// tolerates exactly one trailing unparseable line (a record cut short by a
+/// crash mid-append).
 pub(crate) fn load_journal(
     path: &Path,
     fp: u64,
     job_count: usize,
-) -> io::Result<HashMap<usize, (bool, f64)>> {
+) -> io::Result<Vec<Option<(bool, f64)>>> {
+    let mut done = vec![None; job_count];
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(HashMap::new()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(done),
         Err(e) => return Err(e),
     };
     let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let lines: Vec<&str> = text.lines().collect();
     let Some((&header, records)) = lines.split_first() else {
-        return Ok(HashMap::new());
+        return Ok(done);
     };
     let expected_header = format!("{HEADER_PREFIX} {fp:016x}");
     if header != expected_header {
@@ -417,12 +318,9 @@ pub(crate) fn load_journal(
             path.display()
         )));
     }
-    let mut done = HashMap::new();
     for (k, line) in records.iter().enumerate() {
         match parse_record(line, job_count) {
-            Some((index, result)) => {
-                done.insert(index, result);
-            }
+            Some((index, result)) => done[index] = Some(result),
             // Bundle markers delimit appended blocks; the job results live
             // in the `done` records that follow, so the marker itself
             // carries no data — it is validated and skipped. A bundle whose
@@ -475,6 +373,23 @@ fn parse_bundle_marker(line: &str, job_count: usize) -> Option<()> {
         return None;
     }
     Some(())
+}
+
+/// Appends one journal block to `out`: the `bundle <start> <len>` marker,
+/// then the `done` record of job `start + k` for each `results[k]`. The one
+/// formatter of journal records — the executor's appends and the fabric's
+/// canonical journal alike.
+pub(crate) fn write_block(out: &mut String, start: usize, results: &[(bool, f64)]) {
+    let _ = writeln!(out, "bundle {start} {}", results.len());
+    for (k, &(converged, time)) in results.iter().enumerate() {
+        let _ = writeln!(
+            out,
+            "done {} {} {:016x}",
+            start + k,
+            u8::from(converged),
+            time.to_bits()
+        );
+    }
 }
 
 /// Opens the journal for appending, writing the header first when the file
@@ -585,33 +500,30 @@ mod tests {
         assert_points_bit_identical(&plain, &points);
     }
 
+    /// Runs the checkpointed fratricide sweep of `ns × seeds` once.
+    fn sweep(ns: &[usize], seeds: u64, master: u64, ckpt: &CheckpointConfig) -> SweepStatus {
+        stabilization_sweep_checkpointed(|_| Fratricide, ns, seeds, master, u64::MAX, ckpt)
+            .expect("sweep checkpoints")
+    }
+
     #[test]
     fn killed_and_resumed_sweep_is_bit_identical_to_clean() {
         let scratch = Scratch::new("kill_resume");
         let ns = [16usize, 24];
-        let (seeds, master, width) = (5u64, 77u64, 2);
+        let (seeds, master) = (10u64, 77u64);
         let plain = crate::stabilization_sweep(|_| Fratricide, &ns, seeds, master, u64::MAX);
 
-        // Crash after every 3 fresh jobs until the sweep completes. At
-        // width 2 each size's 5 seeds bundle as [2, 2, 1]; the
-        // bundle-granular limit takes bundles until planned fresh jobs
-        // reach 3, so the rounds complete [4, 3, 3] fresh jobs.
+        // Crash after every 3 fresh jobs until the sweep completes. At the
+        // default width of 8 each size's 10 seeds bundle as [8, 2]; bundles
+        // are taken largest-n-first until the taken jobs reach 3, so the
+        // rounds take n = 24's [8], then its [2] and n = 16's [8], then
+        // n = 16's [2].
         let mut shard = CheckpointConfig::new(&scratch.0);
         shard.job_limit = Some(3);
         let mut fresh_per_round = Vec::new();
         let points = loop {
             assert!(fresh_per_round.len() < 20, "sweep failed to make progress");
-            match stabilization_sweep_checkpointed_wide(
-                |_| Fratricide,
-                &ns,
-                seeds,
-                master,
-                u64::MAX,
-                &shard,
-                width,
-            )
-            .expect("sweep checkpoints")
-            {
+            match sweep(&ns, seeds, master, &shard) {
                 SweepStatus::Complete { points, fresh_jobs } => {
                     fresh_per_round.push(fresh_jobs);
                     break points;
@@ -619,22 +531,16 @@ mod tests {
                 SweepStatus::Suspended { fresh_jobs } => fresh_per_round.push(fresh_jobs),
             }
         };
-        assert_eq!(fresh_per_round, vec![4, 3, 3], "10 jobs in width-2 bundles");
+        assert_eq!(
+            fresh_per_round,
+            vec![8, 10, 2],
+            "20 jobs in width-8 bundles"
+        );
         assert_points_bit_identical(&plain, &points);
 
         // Re-invoking a finished sweep replays the journal: zero fresh jobs,
         // same points.
-        match stabilization_sweep_checkpointed_wide(
-            |_| Fratricide,
-            &ns,
-            seeds,
-            master,
-            u64::MAX,
-            &shard,
-            width,
-        )
-        .expect("sweep checkpoints")
-        {
+        match sweep(&ns, seeds, master, &shard) {
             SweepStatus::Complete {
                 points: replayed,
                 fresh_jobs,
@@ -708,37 +614,24 @@ mod tests {
     fn journal_rejects_mismatched_execution_modes() {
         // Snapshot-interval results agree with bundle-mode results in law
         // but not bit-for-bit, so a journal written under one execution
-        // mode must refuse the other. The bundle width changes no result,
-        // so a journal resumes at any width.
+        // mode must refuse the other. (The bundle width changes no result,
+        // so a journal resumes at any width: see the executor's tests.)
         let scratch = Scratch::new("mode_mismatch");
         let ckpt = CheckpointConfig::new(&scratch.0);
         let mut limited = ckpt.clone();
         limited.job_limit = Some(1);
-        stabilization_sweep_checkpointed_wide(|_| Fratricide, &[16], 4, 1, u64::MAX, &limited, 2)
-            .expect("sweep checkpoints");
-        let status =
-            stabilization_sweep_checkpointed_wide(|_| Fratricide, &[16], 4, 1, u64::MAX, &ckpt, 3)
-                .expect("another width resumes the journal");
-        let SweepStatus::Complete { points, fresh_jobs } = status else {
+        sweep(&[16], 10, 1, &limited);
+        let SweepStatus::Complete { points, fresh_jobs } = sweep(&[16], 10, 1, &ckpt) else {
             panic!("no job limit: sweep must complete");
         };
-        // Width 2 journaled jobs 0 and 1; width-3 bundles [0, 3) and [3, 4)
-        // are both incomplete, so all four jobs run.
-        assert_eq!(fresh_jobs, 4);
-        let plain = crate::stabilization_sweep(|_| Fratricide, &[16], 4, 1, u64::MAX);
+        // The limited run journaled bundle [0, 8); bundle [8, 10) remained.
+        assert_eq!(fresh_jobs, 2);
+        let plain = crate::stabilization_sweep(|_| Fratricide, &[16], 10, 1, u64::MAX);
         assert_points_bit_identical(&plain, &points);
         let mut scalar = ckpt.clone();
         scalar.snapshot_interval = Some(512);
-        let err = stabilization_sweep_checkpointed_wide(
-            |_| Fratricide,
-            &[16],
-            4,
-            1,
-            u64::MAX,
-            &scalar,
-            2,
-        )
-        .expect_err("mode mismatch must error");
+        let err = stabilization_sweep_checkpointed(|_| Fratricide, &[16], 10, 1, u64::MAX, &scalar)
+            .expect_err("mode mismatch must error");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -747,52 +640,44 @@ mod tests {
         let scratch = Scratch::new("torn_tail");
         let ckpt = CheckpointConfig::new(&scratch.0);
         let mut limited = ckpt.clone();
-        limited.job_limit = Some(2);
-        stabilization_sweep_checkpointed_wide(|_| Fratricide, &[16], 3, 9, u64::MAX, &limited, 1)
-            .expect("sweep checkpoints");
+        limited.job_limit = Some(1);
+        sweep(&[16], 10, 9, &limited);
         // Simulate a crash mid-append: a record cut off halfway through.
         let journal = scratch.0.join(JOURNAL_FILE);
         let mut text = std::fs::read_to_string(&journal).unwrap();
-        text.push_str("done 2 1 3ff");
+        text.push_str("done 8 1 3ff");
         std::fs::write(&journal, &text).unwrap();
-        let status =
-            stabilization_sweep_checkpointed_wide(|_| Fratricide, &[16], 3, 9, u64::MAX, &ckpt, 1)
-                .expect("torn tail is tolerated");
-        let SweepStatus::Complete { points, fresh_jobs } = status else {
+        let SweepStatus::Complete { points, fresh_jobs } = sweep(&[16], 10, 9, &ckpt) else {
             panic!("sweep must complete");
         };
-        // The torn record was discarded, so its job reran.
-        assert_eq!(fresh_jobs, 1);
-        let plain = crate::stabilization_sweep(|_| Fratricide, &[16], 3, 9, u64::MAX);
+        // The torn record was discarded, so its bundle [8, 10) reran.
+        assert_eq!(fresh_jobs, 2);
+        let plain = crate::stabilization_sweep(|_| Fratricide, &[16], 10, 9, u64::MAX);
         assert_points_bit_identical(&plain, &points);
     }
 
     #[test]
     fn torn_bundle_block_reruns_the_whole_bundle() {
-        // Cut a width-2 bundle's block after its first job record: the
-        // bundle is incomplete, so both of its jobs rerun — and, being
+        // Cut a width-8 bundle's block after its seventh job record: the
+        // bundle is incomplete, so all of its jobs rerun — and, being
         // deterministic, land on the same points as the clean sweep.
         let scratch = Scratch::new("torn_bundle");
         let ckpt = CheckpointConfig::new(&scratch.0);
         let mut limited = ckpt.clone();
         limited.job_limit = Some(1);
-        stabilization_sweep_checkpointed_wide(|_| Fratricide, &[16], 4, 13, u64::MAX, &limited, 2)
-            .expect("sweep checkpoints");
+        sweep(&[16], 10, 13, &limited);
         let journal = scratch.0.join(JOURNAL_FILE);
         let text = std::fs::read_to_string(&journal).unwrap();
-        // header + "bundle 0 2" + two done lines: drop the final done line.
+        // header + "bundle 0 8" + eight done lines: drop the final one.
         let mut lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4, "unexpected journal shape:\n{text}");
+        assert_eq!(lines.len(), 10, "unexpected journal shape:\n{text}");
         lines.pop();
         std::fs::write(&journal, lines.join("\n") + "\n").unwrap();
-        let status =
-            stabilization_sweep_checkpointed_wide(|_| Fratricide, &[16], 4, 13, u64::MAX, &ckpt, 2)
-                .expect("incomplete bundles rerun");
-        let SweepStatus::Complete { points, fresh_jobs } = status else {
+        let SweepStatus::Complete { points, fresh_jobs } = sweep(&[16], 10, 13, &ckpt) else {
             panic!("sweep must complete");
         };
-        assert_eq!(fresh_jobs, 4, "the cut bundle plus the remaining one");
-        let plain = crate::stabilization_sweep(|_| Fratricide, &[16], 4, 13, u64::MAX);
+        assert_eq!(fresh_jobs, 10, "the cut bundle plus the remaining one");
+        let plain = crate::stabilization_sweep(|_| Fratricide, &[16], 10, 13, u64::MAX);
         assert_points_bit_identical(&plain, &points);
     }
 
@@ -801,24 +686,53 @@ mod tests {
         let scratch = Scratch::new("corrupt_interior");
         let mut limited = CheckpointConfig::new(&scratch.0);
         limited.job_limit = Some(2);
-        stabilization_sweep_checkpointed_wide(|_| Fratricide, &[16], 3, 9, u64::MAX, &limited, 1)
-            .expect("sweep checkpoints");
+        sweep(&[16], 3, 9, &limited);
         let journal = scratch.0.join(JOURNAL_FILE);
         let text = std::fs::read_to_string(&journal).unwrap();
         let mut lines: Vec<&str> = text.lines().collect();
         lines.insert(1, "done garbage");
         std::fs::write(&journal, lines.join("\n") + "\n").unwrap();
-        let err = stabilization_sweep_checkpointed_wide(
+        let err = stabilization_sweep_checkpointed(
             |_| Fratricide,
             &[16],
             3,
             9,
             u64::MAX,
             &CheckpointConfig::new(&scratch.0),
-            1,
         )
         .expect_err("interior corruption must error");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn snapshot_write_failure_is_an_error_not_a_panic() {
+        // A directory squatting on job 0's snapshot path makes every
+        // snapshot write of that job fail; the sweep must report it.
+        let scratch = Scratch::new("snapshot_failure");
+        let squatter = job_snapshot_path(&scratch.0, 0);
+        std::fs::create_dir_all(squatter.join("occupied")).unwrap();
+        let mut ckpt = CheckpointConfig::new(&scratch.0);
+        ckpt.snapshot_interval = Some(64);
+        let result = stabilization_sweep_checkpointed(|_| Fratricide, &[64], 1, 5, u64::MAX, &ckpt);
+        assert!(
+            result.is_err(),
+            "a failed snapshot write must fail the sweep"
+        );
+    }
+
+    #[test]
+    fn invalid_grids_are_invalid_input() {
+        let scratch = Scratch::new("invalid_grid");
+        let ckpt = CheckpointConfig::new(&scratch.0);
+        for (ns, seeds) in [(&[16usize][..], 1u64 << 32), (&[16, 1][..], 2)] {
+            let err = stabilization_sweep_checkpointed(|_| Fratricide, ns, seeds, 1, 1, &ckpt)
+                .expect_err("an invalid grid must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{ns:?} x {seeds}");
+        }
+        assert!(
+            !scratch.0.exists(),
+            "a refused grid must not create its directory"
+        );
     }
 
     #[test]

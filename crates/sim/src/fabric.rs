@@ -18,16 +18,18 @@
 //!   journal.txt            canonical merged journal (written by the merge)
 //! ```
 //!
-//! Work is claimed at **bundle** granularity ([`sweep_bundles`]' same-`n`
-//! blocks of jobs): a worker that wants a bundle atomically creates
-//! `claims/<start>.claim` and runs it only on success, so shards never
-//! duplicate work — *dynamic range claiming*, not static partitioning. The
-//! job space's heavy tail (stabilization times straggle far past their
-//! expectation) is what rules static shards out: whichever shard statically
-//! owned the straggler would cap the whole run. Two levers bound the
-//! makespan instead: bundles are claimed largest-`n`-first
-//! ([`cost_order`]'s LPT schedule), and any idle worker — same box or not —
-//! can pick up whatever remains.
+//! A worker is the in-process sweep executor (`runner::execute`) with a
+//! claim hook and a journal. Work is claimed at **bundle** granularity
+//! ([`sweep_bundles`]' same-`n` blocks of jobs): when one of the worker's
+//! threads frees up, the executor picks the next pending bundle and the
+//! hook atomically creates `claims/<start>.claim`; the bundle runs only on
+//! success, so shards never duplicate work — *dynamic range claiming*, not
+//! static partitioning. The job space's heavy tail (stabilization times
+//! straggle far past their expectation) is what rules static shards out:
+//! whichever shard statically owned the straggler would cap the whole run.
+//! Two levers bound the makespan instead: bundles are claimed
+//! largest-`n`-first (the executor's LPT schedule), and any idle worker —
+//! same box or not — can pick up whatever remains.
 //!
 //! # Merge contract
 //!
@@ -57,24 +59,18 @@
 //! tolerated by the journal loader and rerun whole.
 //!
 //! [`Summary`]: pp_stats::Summary
-//! [`cost_order`]: crate::runner::cost_order
 
 use crate::checkpoint::{
-    fingerprint, load_journal, open_journal_for_append, write_atomically, HEADER_PREFIX,
-    JOURNAL_FILE,
+    fingerprint, load_journal, write_atomically, write_block, HEADER_PREFIX, JOURNAL_FILE,
 };
 use crate::runner::{
-    aggregate_points, cost_order, run_bundle, sweep_bundles, sweep_flat, worker_count, SweepBundle,
-    SweepPoint,
+    aggregate_points, execute, invalid_input, run_election, run_grid, sweep_bundles, validate_grid,
+    Fanout, SweepBundle, SweepPoint,
 };
 use pp_engine::LeaderElection;
 use pp_stats::Table;
-use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Shard manifest file name inside a shard directory.
@@ -234,13 +230,16 @@ fn scan_field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
 /// Reinvoking with the same directory resumes: journaled bundles are
 /// skipped, claimed-elsewhere bundles are left alone, and everything else
 /// is up for claiming. `job_limit` bounds the *fresh* jobs of this
-/// invocation (bundle-granular, like the checkpointed sweep's); hitting it
-/// reports `suspended`.
+/// invocation under the executor's rule, like the checkpointed sweep's:
+/// bundles are claimed in order until the claimed ones hold `job_limit`
+/// jobs, so the fresh count depends only on the journal and the claims.
+/// Hitting it reports `suspended`.
 ///
 /// # Errors
 ///
-/// Journal / manifest I/O errors, or a shard journal whose fingerprint does
-/// not match `spec`.
+/// `InvalidInput` for `shard ≥ MAX_SHARDS` or an invalid grid (`seeds ≥
+/// 2^32`, a size below 2); the first journal, claim or manifest I/O error;
+/// or a shard journal whose fingerprint does not match `spec`.
 pub fn run_worker_shard<P, F>(
     make: F,
     spec: &FabricSpec,
@@ -252,105 +251,55 @@ where
     P: LeaderElection,
     F: Fn(usize) -> P + Sync,
 {
-    assert!(shard < MAX_SHARDS, "shard id {shard} exceeds {MAX_SHARDS}");
+    if shard >= MAX_SHARDS {
+        return Err(invalid_input(format!(
+            "shard id {shard} must be below {MAX_SHARDS}"
+        )));
+    }
+    validate_grid(&spec.ns, spec.seeds)?;
     let started = Instant::now();
     crate::set_sweep_shard(Some(shard));
     let fp = spec.fingerprint();
-    let bundles = spec.bundles();
     let total = spec.total_jobs();
     let claims = dir.join(CLAIMS_DIR);
     std::fs::create_dir_all(&claims)?;
     let my_dir = shard_dir(dir, shard);
     std::fs::create_dir_all(&my_dir)?;
     let journal_path = my_dir.join(JOURNAL_FILE);
-    let done = load_journal(&journal_path, fp, total)?;
-    let journaled = done.len();
+    let mut done = load_journal(&journal_path, fp, total)?;
+    let journaled = done.iter().flatten().count();
     write_progress(&my_dir, journaled, total)?;
 
-    let sizes: Vec<usize> = bundles.iter().map(|b| b.n).collect();
-    let order = cost_order(&sizes);
-    let journal = Mutex::new(open_journal_for_append(&journal_path, fp)?);
-    let cursor = AtomicUsize::new(0);
-    let fresh = AtomicUsize::new(0);
-    let suspended = AtomicBool::new(false);
-    let budget = job_limit.unwrap_or(usize::MAX);
-    let workers = worker_count(bundles.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    if k >= order.len() {
-                        break;
-                    }
-                    let bundle = &bundles[order[k]];
-                    let range = bundle.start..bundle.start + bundle.seeds.len();
-                    if range.clone().all(|i| done.contains_key(&i)) {
-                        continue;
-                    }
-                    // Bundle-granular budget: checked before claiming, so a
-                    // suspended worker never strands a claim (only a killed
-                    // one does — that's what clean_stale_claims is for).
-                    if fresh.load(Ordering::Relaxed) >= budget {
-                        suspended.store(true, Ordering::Release);
-                        break;
-                    }
-                    if !claim_bundle(&claims, bundle.start, shard) {
-                        continue;
-                    }
-                    let results = run_bundle(&make, bundle.n, &bundle.seeds, spec.max_steps);
-                    // One buffered append per bundle, exactly like the
-                    // checkpointed sweep: a crash tears at most the final
-                    // block, which the loader discards and the retry reruns.
-                    let mut block = format!("bundle {} {}\n", bundle.start, bundle.seeds.len());
-                    for (j, &(converged, time)) in results.iter().enumerate() {
-                        let _ = writeln!(
-                            block,
-                            "done {} {} {:016x}",
-                            bundle.start + j,
-                            u8::from(converged),
-                            time.to_bits()
-                        );
-                    }
-                    // The progress snapshot is rewritten under the journal
-                    // lock too: writers share one temporary file, and
-                    // serialized rewrites land in count order, so the last
-                    // one standing is the shard's final count.
-                    let mut file = journal.lock().expect("journal writers do not panic");
-                    file.write_all(block.as_bytes())
-                        .and_then(|()| file.flush())
-                        .expect("shard journal append failed");
-                    let so_far =
-                        fresh.fetch_add(bundle.seeds.len(), Ordering::Relaxed) + bundle.seeds.len();
-                    let _ = write_progress(&my_dir, journaled + so_far, total);
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().expect("a fabric worker thread panicked");
-        }
-    });
-
-    let fresh_jobs = fresh.load(Ordering::Relaxed);
-    let suspended = suspended.load(Ordering::Acquire);
-    crate::runner::record_fanout_rollup(
-        fresh_jobs as u64,
-        workers as u64,
-        started.elapsed().as_secs_f64(),
-    );
+    // The progress snapshot is rewritten under the journal lock: writers
+    // share one temporary file, and serialized rewrites land in count
+    // order, so the last one standing is the shard's final count.
+    let progress = |_: &SweepBundle, so_far: usize| {
+        let _ = write_progress(&my_dir, so_far, total);
+    };
+    let executed = execute(
+        &spec.bundles(),
+        &mut done,
+        &Fanout {
+            job_limit,
+            claim: Some(&|bundle| claim_bundle(&claims, bundle.start, shard)),
+            journal: Some((&journal_path, fp)),
+            after_block: Some(&progress),
+        },
+        |_, n, seed| Ok(run_election(&make, n, seed, spec.max_steps)),
+    )?;
     let manifest = ShardManifest {
         shard,
         pid: std::process::id(),
         fingerprint: fp,
-        jobs: (journaled + fresh_jobs) as u64,
-        threads: workers as u64,
+        jobs: (journaled + executed.fresh_jobs) as u64,
+        threads: executed.workers as u64,
         wall_seconds: started.elapsed().as_secs_f64(),
-        complete: !suspended,
+        complete: !executed.suspended,
     };
     write_atomically(&my_dir.join(MANIFEST_FILE), manifest.to_json().as_bytes())?;
     Ok(ShardOutcome {
-        fresh_jobs,
-        suspended,
+        fresh_jobs: executed.fresh_jobs,
+        suspended: executed.suspended,
     })
 }
 
@@ -358,7 +307,8 @@ where
 /// platform the workspace targets, so exactly one worker — across all
 /// processes sharing the directory — wins each bundle. The file body
 /// records the claimant for post-mortems; only its existence matters.
-fn claim_bundle(claims: &Path, start: usize, shard: u64) -> bool {
+/// `Ok(false)` when another worker holds the claim.
+fn claim_bundle(claims: &Path, start: usize, shard: u64) -> io::Result<bool> {
     match std::fs::OpenOptions::new()
         .write(true)
         .create_new(true)
@@ -366,10 +316,10 @@ fn claim_bundle(claims: &Path, start: usize, shard: u64) -> bool {
     {
         Ok(mut file) => {
             let _ = writeln!(file, "{shard} {}", std::process::id());
-            true
+            Ok(true)
         }
-        Err(e) if e.kind() == io::ErrorKind::AlreadyExists => false,
-        Err(e) => panic!("claim file create failed: {e}"),
+        Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(false),
+        Err(e) => Err(e),
     }
 }
 
@@ -409,23 +359,13 @@ pub fn aggregate_progress(dir: &Path, shards: u64) -> (usize, usize) {
 ///
 /// # Errors
 ///
-/// Journal I/O errors, a fingerprint-mismatched shard journal, or a claim
-/// that cannot be removed.
+/// The errors of [`merge_shards`]' journal union, or a claim that cannot
+/// be removed.
 pub fn clean_stale_claims(spec: &FabricSpec, dir: &Path, shards: u64) -> io::Result<usize> {
-    let fp = spec.fingerprint();
-    let total = spec.total_jobs();
-    let mut done: HashMap<usize, (bool, f64)> = HashMap::new();
-    for shard in 0..shards {
-        done.extend(load_journal(
-            &shard_dir(dir, shard).join(JOURNAL_FILE),
-            fp,
-            total,
-        )?);
-    }
+    let done = union_shard_journals(spec, dir, shards)?;
     let mut removed = 0;
     for bundle in spec.bundles() {
-        let range = bundle.start..bundle.start + bundle.seeds.len();
-        if range.clone().all(|i| done.contains_key(&i)) {
+        if done[bundle.range()].iter().all(Option::is_some) {
             continue;
         }
         match std::fs::remove_file(dir.join(CLAIMS_DIR).join(format!("{}.claim", bundle.start))) {
@@ -435,6 +375,47 @@ pub fn clean_stale_claims(spec: &FabricSpec, dir: &Path, shards: u64) -> io::Res
         }
     }
     Ok(removed)
+}
+
+/// The job-indexed union of shard journals `shard_0 .. shard_<shards>`
+/// under `dir` (`None`: journaled nowhere): what the merge and the claim
+/// janitor both read. Errors as [`merge_shards`] documents.
+fn union_shard_journals(
+    spec: &FabricSpec,
+    dir: &Path,
+    shards: u64,
+) -> io::Result<Vec<Option<(bool, f64)>>> {
+    validate_grid(&spec.ns, spec.seeds)?;
+    if shards > MAX_SHARDS {
+        return Err(invalid_input(format!(
+            "shard count {shards} exceeds {MAX_SHARDS}"
+        )));
+    }
+    let fp = spec.fingerprint();
+    let total = spec.total_jobs();
+    let mut done: Vec<Option<(bool, f64)>> = vec![None; total];
+    for shard in 0..shards {
+        let shard_done = load_journal(&shard_dir(dir, shard).join(JOURNAL_FILE), fp, total)?;
+        for (i, result) in shard_done.into_iter().enumerate() {
+            let Some(result) = result else { continue };
+            match done[i] {
+                Some((converged, time))
+                    if converged != result.0 || time.to_bits() != result.1.to_bits() =>
+                {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "shard journals under {} disagree on job {i}; runs are \
+                             deterministic, so divergent duplicates mean foreign shard state",
+                            dir.display()
+                        ),
+                    ));
+                }
+                _ => done[i] = Some(result),
+            }
+        }
+    }
+    Ok(done)
 }
 
 /// What a merge found.
@@ -456,53 +437,30 @@ pub struct MergeReport {
 ///
 /// # Errors
 ///
-/// I/O errors; a shard journal whose header fingerprint does not match
-/// `spec` (mixed-fingerprint shard directories are refused, `InvalidData`);
-/// or shard journals that disagree on a job's exact result — impossible for
+/// `InvalidInput` for an invalid grid or `shards > MAX_SHARDS`; I/O
+/// errors; a shard journal whose header fingerprint does not match `spec`
+/// (mixed-fingerprint shard directories are refused, `InvalidData`); or
+/// shard journals that disagree on a job's exact result — impossible for
 /// honestly-produced shards, since runs are deterministic, so disagreement
 /// means foreign state and the merge must not guess.
 pub fn merge_shards(spec: &FabricSpec, dir: &Path, shards: u64) -> io::Result<MergeReport> {
-    let fp = spec.fingerprint();
-    let total = spec.total_jobs();
-    let mut done: HashMap<usize, (bool, f64)> = HashMap::new();
-    let mut manifests = Vec::new();
-    for shard in 0..shards {
-        let sdir = shard_dir(dir, shard);
-        let shard_done = load_journal(&sdir.join(JOURNAL_FILE), fp, total)?;
-        for (i, result) in shard_done {
-            if let Some(&prior) = done.get(&i) {
-                if prior.0 != result.0 || prior.1.to_bits() != result.1.to_bits() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "shard journals under {} disagree on job {i}; runs are \
-                             deterministic, so divergent duplicates mean foreign shard state",
-                            dir.display()
-                        ),
-                    ));
-                }
-            } else {
-                done.insert(i, result);
-            }
-        }
-        if let Ok(text) = std::fs::read_to_string(sdir.join(MANIFEST_FILE)) {
-            if let Some(manifest) = ShardManifest::parse(&text) {
-                manifests.push(manifest);
-            }
-        }
-    }
-    let missing = total - done.len();
-    if missing > 0 {
+    let done = union_shard_journals(spec, dir, shards)?;
+    let manifests = (0..shards)
+        .filter_map(|shard| {
+            let text = std::fs::read_to_string(shard_dir(dir, shard).join(MANIFEST_FILE)).ok()?;
+            ShardManifest::parse(&text)
+        })
+        .collect();
+    let Some(flat) = done.iter().copied().collect::<Option<Vec<_>>>() else {
         return Ok(MergeReport {
             points: None,
-            missing,
+            missing: done.iter().filter(|r| r.is_none()).count(),
             manifests,
         });
-    }
-    let flat: Vec<(bool, f64)> = (0..total).map(|i| done[&i]).collect();
+    };
     write_atomically(
         &dir.join(JOURNAL_FILE),
-        canonical_journal(spec, fp, &flat).as_bytes(),
+        canonical_journal(spec, &flat).as_bytes(),
     )?;
     Ok(MergeReport {
         points: Some(aggregate_points(&spec.ns, spec.seeds, &flat)),
@@ -517,23 +475,21 @@ pub fn merge_shards(spec: &FabricSpec, dir: &Path, shards: u64) -> io::Result<Me
 ///
 /// # Errors
 ///
-/// Journal write errors.
+/// `InvalidInput` for an invalid grid (`seeds ≥ 2^32`, a size below 2);
+/// journal write errors.
 pub fn run_sequential<P, F>(make: F, spec: &FabricSpec, dir: &Path) -> io::Result<Vec<SweepPoint>>
 where
     P: LeaderElection,
     F: Fn(usize) -> P + Sync,
 {
+    validate_grid(&spec.ns, spec.seeds)?;
     std::fs::create_dir_all(dir)?;
-    let flat = sweep_flat(
-        &make,
-        &spec.ns,
-        spec.seeds,
-        spec.master_seed,
-        spec.max_steps,
-    );
+    let flat = run_grid(&spec.ns, spec.seeds, spec.master_seed, |n, seed| {
+        run_election(&make, n, seed, spec.max_steps)
+    });
     write_atomically(
         &dir.join(JOURNAL_FILE),
-        canonical_journal(spec, spec.fingerprint(), &flat).as_bytes(),
+        canonical_journal(spec, &flat).as_bytes(),
     )?;
     Ok(aggregate_points(&spec.ns, spec.seeds, &flat))
 }
@@ -543,20 +499,10 @@ where
 /// bundle-start order. A pure function of the results — which process ran
 /// which bundle, in what order, across how many crashes, leaves no trace —
 /// so every complete run of the same spec renders the same bytes.
-fn canonical_journal(spec: &FabricSpec, fp: u64, flat: &[(bool, f64)]) -> String {
-    let mut text = format!("{HEADER_PREFIX} {fp:016x}\n");
+fn canonical_journal(spec: &FabricSpec, flat: &[(bool, f64)]) -> String {
+    let mut text = format!("{HEADER_PREFIX} {:016x}\n", spec.fingerprint());
     for bundle in spec.bundles() {
-        let _ = writeln!(text, "bundle {} {}", bundle.start, bundle.seeds.len());
-        for k in 0..bundle.seeds.len() {
-            let (converged, time) = flat[bundle.start + k];
-            let _ = writeln!(
-                text,
-                "done {} {} {:016x}",
-                bundle.start + k,
-                u8::from(converged),
-                time.to_bits()
-            );
-        }
+        write_block(&mut text, bundle.start, &flat[bundle.range()]);
     }
     text
 }
@@ -704,7 +650,7 @@ mod tests {
         // journaling it.
         let claims = dir.0.join(CLAIMS_DIR);
         std::fs::create_dir_all(&claims).unwrap();
-        assert!(claim_bundle(&claims, 0, 7));
+        assert!(claim_bundle(&claims, 0, 7).unwrap());
         let outcome =
             run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, None).expect("worker runs");
         assert_eq!(outcome.fresh_jobs, spec.total_jobs() - 2, "bundle 0 held");
@@ -750,17 +696,47 @@ mod tests {
     fn suspended_worker_resumes_from_its_journal() {
         let spec = spec();
         let dir = Scratch::new("suspend_resume");
-        // 10 jobs in width-2 bundles; a limit of 3 suspends after 2 bundles.
+        // 10 jobs in width-2 bundles; a limit of 3 claims n = 32's first
+        // two bundles, whatever the thread count, and suspends.
         let outcome = run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, Some(3))
             .expect("limited worker runs");
         assert!(outcome.suspended);
-        assert!(outcome.fresh_jobs >= 3, "bundle-granular overshoot allowed");
+        assert_eq!(outcome.fresh_jobs, 4);
+        let mut claims: Vec<String> = std::fs::read_dir(dir.0.join(CLAIMS_DIR))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        claims.sort();
+        assert_eq!(claims, ["5.claim", "7.claim"]);
         let resumed =
             run_worker_shard(|_| Fratricide, &spec, &dir.0, 0, None).expect("resume runs");
         assert!(!resumed.suspended);
         assert_eq!(resumed.fresh_jobs + outcome.fresh_jobs, spec.total_jobs());
         let report = merge_shards(&spec, &dir.0, 1).expect("merge succeeds");
         assert_eq!(report.missing, 0);
+    }
+
+    #[test]
+    fn out_of_range_shards_and_grids_are_invalid_input() {
+        let dir = Scratch::new("invalid");
+        let err = run_worker_shard(|_| Fratricide, &spec(), &dir.0, MAX_SHARDS, None)
+            .expect_err("shard ids stop below MAX_SHARDS");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let mut tiny = spec();
+        tiny.ns = vec![16, 1];
+        let err = run_worker_shard(|_| Fratricide, &tiny, &dir.0, 0, None)
+            .expect_err("sizes below 2 are refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let err = run_sequential(|_| Fratricide, &tiny, &dir.0).expect_err("same for sequential");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let mut huge = spec();
+        huge.seeds = 1 << 32;
+        let err = merge_shards(&huge, &dir.0, 1).expect_err("seeds below 2^32");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(
+            !dir.0.exists(),
+            "a refused grid must not create its directory"
+        );
     }
 
     #[test]

@@ -41,8 +41,7 @@ mod runner;
 pub mod trajectory;
 
 pub use checkpoint::{
-    stabilization_sweep_checkpointed, stabilization_sweep_checkpointed_wide, CheckpointConfig,
-    ExperimentCheckpoint, SweepStatus,
+    stabilization_sweep_checkpointed, CheckpointConfig, ExperimentCheckpoint, SweepStatus,
 };
 pub use runner::{
     enable_sweep_rollup, parallel_map, set_sweep_shard, stabilization_sweep,

@@ -1,20 +1,26 @@
-//! Parallel execution of embarrassingly parallel experiment jobs.
+//! Parallel execution of sweep jobs: one thread pool and one executor.
 //!
-//! [`parallel_map`] fans jobs out across worker **threads**. Every sweep job
-//! is one whole election on a fresh [`CountSimulation`] seeded from the job's
-//! own seed ([`run_election`]), so a job's result is a function of
-//! `(n, seed)` alone — never of the thread that ran it, the jobs before it,
-//! or how jobs were grouped. Same-`n` **bundles** of jobs survive only as a
-//! unit of bookkeeping: the sweep fabric's claims and the journal blocks of
-//! the checkpointed sweep ([`sweep_lane_width`] is their default width).
+//! [`parallel_map`] is the crate's one thread pool, and [`execute`] its one
+//! sweep executor: [`stabilization_sweep`], the checkpointed sweep and the
+//! sweep fabric's workers all hand it their same-`n` **bundles** of jobs,
+//! which it runs largest-`n`-first under one job-limit rule, optionally
+//! claiming each across processes and journaling each as one block. Every
+//! job is one election on a fresh [`CountSimulation`] seeded from the job's
+//! own seed ([`run_election`]), so its result is a function of `(n, seed)`
+//! alone — never of the thread that ran it or how jobs were grouped.
+//! Bundles are bookkeeping only: the fabric's claim unit and the journal
+//! block ([`sweep_lane_width`] is their default width); the in-process
+//! sweeps run one-job bundles.
 //!
 //! One env override serves reproducible benchmarking: `PP_SIM_THREADS` pins
 //! the worker count. It changes no result, only how jobs fan out.
 
+use crate::checkpoint::{open_journal_for_append, write_block};
 use pp_engine::{CountSimulation, LeaderElection, Simulation, UniformScheduler};
 use pp_rand::{SeedSequence, Xoshiro256PlusPlus};
 use pp_stats::Summary;
-use std::io::{IsTerminal, Write as _};
+use std::io::{self, IsTerminal, Write as _};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -40,7 +46,7 @@ fn worker_override(raw: Option<&str>, detected: usize) -> usize {
 
 /// Worker threads for `jobs` jobs: the `PP_SIM_THREADS` override if set,
 /// else [`std::thread::available_parallelism`], never more than the jobs.
-pub(crate) fn worker_count(jobs: usize) -> usize {
+fn worker_count(jobs: usize) -> usize {
     let detected = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
@@ -144,36 +150,6 @@ pub fn take_sweep_rollups() -> Vec<SweepRollup> {
         .unwrap_or_default()
 }
 
-fn record_rollup(rollup: SweepRollup) {
-    ROLLUPS
-        .get_or_init(|| Mutex::new(Vec::new()))
-        .lock()
-        .expect("rollup lock poisoned")
-        .push(rollup);
-}
-
-/// Records a rollup on behalf of a fan-out that drives its own worker
-/// threads instead of going through [`parallel_map`] (the sweep fabric's
-/// claim loop). No-op unless collection is enabled, like the inline
-/// recorder.
-pub(crate) fn record_fanout_rollup(jobs: u64, workers: u64, wall_seconds: f64) {
-    if !ROLLUP_ENABLED.load(Ordering::Acquire) {
-        return;
-    }
-    record_rollup(SweepRollup {
-        jobs,
-        workers,
-        wall_seconds,
-        jobs_per_second: if wall_seconds > 0.0 {
-            jobs as f64 / wall_seconds
-        } else {
-            0.0
-        },
-        pid: std::process::id(),
-        shard: sweep_shard(),
-    });
-}
-
 /// Progress-line ETA suffix, based on the **completed-job** rate.
 ///
 /// Sweep job laws are heavy-tailed (stabilization time is a random variable
@@ -249,6 +225,19 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    parallel_map_counted(jobs, |_| 1, f)
+}
+
+/// [`parallel_map`] whose rollup counts `jobs_in(result)` jobs per item
+/// rather than one: the executor maps over slots that each run a bundle of
+/// jobs, or none.
+fn parallel_map_counted<T, R, F, C>(jobs: &[T], jobs_in: C, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+    C: Fn(&R) -> usize,
+{
     let workers = worker_count(jobs.len());
     let total = jobs.len();
     let started = Instant::now();
@@ -296,21 +285,27 @@ where
             }
         }
     });
-    if ROLLUP_ENABLED.load(Ordering::Acquire) {
-        let wall = started.elapsed().as_secs_f64();
-        record_rollup(SweepRollup {
-            jobs: total as u64,
-            workers: workers as u64,
-            wall_seconds: wall,
-            jobs_per_second: if wall > 0.0 { total as f64 / wall } else { 0.0 },
-            pid: std::process::id(),
-            shard: sweep_shard(),
-        });
-    }
-    results
+    let results: Vec<R> = results
         .into_iter()
         .map(|r| r.expect("every job index was claimed exactly once"))
-        .collect()
+        .collect();
+    if ROLLUP_ENABLED.load(Ordering::Acquire) {
+        let wall = started.elapsed().as_secs_f64();
+        let ran: usize = results.iter().map(&jobs_in).sum();
+        ROLLUPS
+            .get_or_init(|| Mutex::new(Vec::new()))
+            .lock()
+            .expect("rollup lock poisoned")
+            .push(SweepRollup {
+                jobs: ran as u64,
+                workers: workers as u64,
+                wall_seconds: wall,
+                jobs_per_second: if wall > 0.0 { ran as f64 / wall } else { 0.0 },
+                pid: std::process::id(),
+                shard: sweep_shard(),
+            });
+    }
+    results
 }
 
 /// One measured point of a stabilization-time sweep.
@@ -359,73 +354,10 @@ where
     P: LeaderElection,
     F: Fn(usize) -> P + Sync,
 {
-    let flat = sweep_flat(&make, ns, seeds, master_seed, max_steps);
-    aggregate_points(ns, seeds, &flat)
-}
-
-/// Cost-model ordering of a fan-out over work items of population sizes
-/// `ns`: indices into `ns`, most-expensive-first.
-///
-/// Per-run cost is monotone in `n` for every protocol in this workspace
-/// (the power-law fits recorded in `BENCH_engine.json` and table 1's
-/// scaling exponents all have positive slope: even the `O(log n)`-time
-/// protocols cost `Ω(n)` work per seed since steps scale as `n · time`), so
-/// largest-`n`-first **is** the fitted-cost order — no per-protocol rate
-/// table needed for ordering to be correct, only monotonicity. The sort is
-/// stable, so same-`n` items keep job order.
-///
-/// Why ordering matters: stabilization times are heavy-tailed per seed, and
-/// a mixed-`n` grid's biggest runs dominate the makespan. A FIFO fan-out
-/// can hand a worker a largest-`n` run *last*, leaving every other worker
-/// idle behind it; scheduling the expensive work first bounds that idle
-/// tail by the cheapest item's cost instead of the dearest's (classic LPT
-/// scheduling). Results are scattered back by job index, so observable
-/// output is unchanged.
-pub(crate) fn cost_order(ns: &[usize]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..ns.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(ns[i]));
-    order
-}
-
-/// Job-ordered flat `(converged, parallel_time)` outcomes of a sweep: the
-/// shared core of [`stabilization_sweep`] and the sweep fabric's sequential
-/// mode.
-pub(crate) fn sweep_flat<P, F>(
-    make: &F,
-    ns: &[usize],
-    seeds: u64,
-    master_seed: u64,
-    max_steps: u64,
-) -> Vec<(bool, f64)>
-where
-    P: LeaderElection,
-    F: Fn(usize) -> P + Sync,
-{
-    run_jobs(ns, seeds, master_seed, |n, seed| {
-        run_election(make, n, seed, max_steps)
-    })
-}
-
-/// Runs `run(n, seed)` on every job of [`sweep_jobs`] and returns the
-/// outcomes in job order. Jobs fan out largest-`n`-first ([`cost_order`])
-/// and results scatter back by job index, so the returned order — and
-/// every bit of every result — is independent of the scheduling.
-fn run_jobs<R>(ns: &[usize], seeds: u64, master_seed: u64, run: R) -> Vec<(bool, f64)>
-where
-    R: Fn(usize, u64) -> (bool, f64) + Sync,
-{
-    let jobs = sweep_jobs(ns, seeds, master_seed);
-    let sizes: Vec<usize> = jobs.iter().map(|&(n, _)| n).collect();
-    let order = cost_order(&sizes);
-    let outcomes = parallel_map(&order, |&i| {
-        let (n, seed) = jobs[i];
-        run(n, seed)
+    let flat = run_grid(ns, seeds, master_seed, |n, seed| {
+        run_election(&make, n, seed, max_steps)
     });
-    let mut flat = vec![(false, 0.0); jobs.len()];
-    for (&i, outcome) in order.iter().zip(outcomes) {
-        flat[i] = outcome;
-    }
-    flat
+    aggregate_points(ns, seeds, &flat)
 }
 
 /// [`stabilization_sweep`] on the per-agent reference engine
@@ -445,7 +377,7 @@ where
     P: LeaderElection,
     F: Fn(usize) -> P + Sync,
 {
-    let flat = run_jobs(ns, seeds, master_seed, |n, seed| {
+    let flat = run_grid(ns, seeds, master_seed, |n, seed| {
         let protocol = make(n);
         let scheduler = UniformScheduler::seed_from_u64(seed);
         let mut sim = Simulation::new(protocol, n, scheduler)
@@ -456,6 +388,26 @@ where
     aggregate_points(ns, seeds, &flat)
 }
 
+/// Job-ordered `(converged, parallel_time)` outcomes of `run(n, seed)` over
+/// every job of the grid: [`execute`] on one-job bundles, with no journal,
+/// claims or job limit.
+pub(crate) fn run_grid<R>(ns: &[usize], seeds: u64, master_seed: u64, run: R) -> Vec<(bool, f64)>
+where
+    R: Fn(usize, u64) -> (bool, f64) + Sync,
+{
+    let mut done = vec![None; ns.len() * seeds as usize];
+    execute(
+        &sweep_bundles(ns, seeds, master_seed, 1),
+        &mut done,
+        &Fanout::default(),
+        |_, n, seed| Ok(run(n, seed)),
+    )
+    .expect("a fan-out without journal or claims does no I/O");
+    done.into_iter()
+        .map(|r| r.expect("a fan-out without a job limit runs every job"))
+        .collect()
+}
+
 /// Builds a sweep's `(n, seed)` job list: `seeds` jobs per entry of `ns`, in
 /// entry order, each job seeded from the packed index
 /// `(size_index << 32) | seed_index` so every (size, run) pair draws an
@@ -464,7 +416,8 @@ where
 /// # Panics
 ///
 /// Panics when `seeds ≥ 2^32`: the packed index would silently collide the
-/// seed streams of different sizes.
+/// seed streams of different sizes. The `io::Result` entry points reject
+/// such grids first ([`validate_grid`]).
 pub(crate) fn sweep_jobs(ns: &[usize], seeds: u64, master_seed: u64) -> Vec<(usize, u64)> {
     assert!(
         seeds < 1 << 32,
@@ -480,9 +433,31 @@ pub(crate) fn sweep_jobs(ns: &[usize], seeds: u64, master_seed: u64) -> Vec<(usi
     jobs
 }
 
+/// The grid check of the `io::Result` sweep entry points: `InvalidInput`
+/// when `seeds ≥ 2^32` (job seeds pack the seed index into 32 bits) or any
+/// population size is below 2.
+pub(crate) fn validate_grid(ns: &[usize], seeds: u64) -> io::Result<()> {
+    if seeds >= 1 << 32 {
+        return Err(invalid_input(format!(
+            "sweeps support at most 2^32 - 1 seeds per size (got {seeds})"
+        )));
+    }
+    if let Some(n) = ns.iter().find(|&&n| n < 2) {
+        return Err(invalid_input(format!(
+            "every population size must be >= 2 (got {n})"
+        )));
+    }
+    Ok(())
+}
+
+/// An `InvalidInput` error carrying `msg`.
+pub(crate) fn invalid_input(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, msg)
+}
+
 /// A contiguous block of same-`n` jobs: the sweep fabric's claim unit and
-/// the checkpointed sweep's journal block. Its jobs run independently
-/// ([`run_bundle`]), so the grouping never changes a result.
+/// the journal block. Its jobs run independently, so the grouping never
+/// changes a result.
 #[derive(Debug, Clone)]
 pub(crate) struct SweepBundle {
     /// Population size shared by every job.
@@ -491,6 +466,13 @@ pub(crate) struct SweepBundle {
     pub start: usize,
     /// Per-job RNG seeds, in job order.
     pub seeds: Vec<u64>,
+}
+
+impl SweepBundle {
+    /// The flat job indices of the bundle.
+    pub(crate) fn range(&self) -> std::ops::Range<usize> {
+        self.start..self.start + self.seeds.len()
+    }
 }
 
 /// Partitions the flat job list of [`sweep_jobs`] into bundles of up to
@@ -503,28 +485,190 @@ pub(crate) fn sweep_bundles(
     master_seed: u64,
     lanes: usize,
 ) -> Vec<SweepBundle> {
-    let lanes = lanes.max(1);
+    let (per_size, lanes) = ((seeds as usize).max(1), lanes.max(1));
     let jobs = sweep_jobs(ns, seeds, master_seed);
-    let per_size = seeds as usize;
     let mut bundles = Vec::new();
-    for (ni, &n) in ns.iter().enumerate() {
-        let base = ni * per_size;
-        let mut offset = 0;
-        while offset < per_size {
-            let width = lanes.min(per_size - offset);
-            let start = base + offset;
+    for (ni, size) in jobs.chunks(per_size).enumerate() {
+        for (k, chunk) in size.chunks(lanes).enumerate() {
             bundles.push(SweepBundle {
-                n,
-                start,
-                seeds: jobs[start..start + width]
-                    .iter()
-                    .map(|&(_, seed)| seed)
-                    .collect(),
+                n: ns[ni],
+                start: ni * per_size + k * lanes,
+                seeds: chunk.iter().map(|&(_, seed)| seed).collect(),
             });
-            offset += width;
         }
     }
     bundles
+}
+
+/// A cross-process claim on a bundle: `Ok(false)` leaves it to whoever
+/// holds it.
+pub(crate) type Claim<'a> = &'a (dyn Fn(&SweepBundle) -> io::Result<bool> + Sync);
+
+/// Called with a bundle and the job count its journal now holds.
+pub(crate) type AfterBlock<'a> = &'a (dyn Fn(&SweepBundle, usize) + Sync);
+
+/// How [`execute`] takes and records bundles. The default runs every
+/// pending bundle, claims nothing and journals nothing.
+#[derive(Default)]
+pub(crate) struct Fanout<'a> {
+    /// Take no more bundles once the taken ones hold this many jobs.
+    pub job_limit: Option<usize>,
+    /// Tried on each bundle in pick order; a lost claim skips the bundle.
+    pub claim: Option<Claim<'a>>,
+    /// Journal file and header fingerprint: each finished bundle lands in
+    /// it as one appended block.
+    pub journal: Option<(&'a Path, u64)>,
+    /// Runs under the journal lock right after each block lands, so calls
+    /// come in increasing count order.
+    pub after_block: Option<AfterBlock<'a>>,
+}
+
+/// What one [`execute`] call did, tallied by its picker.
+#[derive(Debug, Default)]
+pub(crate) struct Executed {
+    /// Jobs of the bundles it took: the count the job limit applies to.
+    pub fresh_jobs: usize,
+    /// It stopped at the job limit with bundles still pending.
+    pub suspended: bool,
+    /// Worker threads of the fan-out.
+    pub workers: usize,
+    /// Position of the picker in the largest-`n`-first order.
+    next: usize,
+    /// The first I/O error; no bundle is taken after it.
+    error: Option<io::Error>,
+}
+
+impl Executed {
+    /// The executor's one job-limit rule, applied under one lock: walk the
+    /// pending bundles in `order`; once the taken bundles hold at least
+    /// `job_limit` jobs, stop and report suspension; otherwise take the
+    /// bundle if its claim (if any) succeeds. Which bundles a call takes is
+    /// thus a function of the journal, the claims and the limit — never of
+    /// how threads race — and the last bundle taken overshoots the limit by
+    /// at most its width minus one. The limit is checked before claiming,
+    /// so a suspended worker never strands a claim.
+    fn pick<'b>(
+        &mut self,
+        order: &[&'b SweepBundle],
+        fanout: &Fanout<'_>,
+    ) -> Option<&'b SweepBundle> {
+        while self.error.is_none() {
+            let bundle = *order.get(self.next)?;
+            if self.fresh_jobs >= fanout.job_limit.unwrap_or(usize::MAX) {
+                self.suspended = true;
+                return None;
+            }
+            self.next += 1;
+            match fanout.claim.map_or(Ok(true), |claim| claim(bundle)) {
+                Ok(true) => {
+                    self.fresh_jobs += bundle.seeds.len();
+                    return Some(bundle);
+                }
+                Ok(false) => {}
+                Err(e) => self.error = Some(e),
+            }
+        }
+        None
+    }
+}
+
+/// The sweep job executor: runs every bundle of `bundles` with a job still
+/// missing from `done` (a job-indexed result table; `None` = not yet run),
+/// calling `run(job, n, seed)` for each of its jobs in job order, and fills
+/// `done` in.
+///
+/// Bundles fan out over [`parallel_map`]'s workers largest-`n`-first, a
+/// stable order that is the fitted-cost order because per-run cost is
+/// monotone in `n` for every protocol here (`BENCH_engine.json`'s power-law
+/// fits all have positive slope). Stabilization times are heavy-tailed, so
+/// a FIFO fan-out could hand a worker the dearest run last while the others
+/// idle; largest-first (LPT) bounds that idle tail by the cheapest run
+/// instead. Each worker slot takes the next bundle from one picker
+/// ([`Executed::pick`]), so the job limit and the claims see the bundles in
+/// that order whatever the thread timing. A bundle missing any job reruns
+/// whole: runs are deterministic, so its journaled jobs come out identical.
+/// With a journal, each finished bundle is appended as one block
+/// ([`write_block`]) in a single write, so a crash tears at most the final
+/// block. The fan-out records one [`SweepRollup`] counting the jobs it ran.
+///
+/// # Errors
+///
+/// The first I/O error of a claim, a journal append or a `run` call. No
+/// bundle is taken after it; bundles already running finish first.
+pub(crate) fn execute<R>(
+    bundles: &[SweepBundle],
+    done: &mut [Option<(bool, f64)>],
+    fanout: &Fanout<'_>,
+    run: R,
+) -> io::Result<Executed>
+where
+    R: Fn(usize, usize, u64) -> io::Result<(bool, f64)> + Sync,
+{
+    let mut order: Vec<&SweepBundle> = bundles
+        .iter()
+        .filter(|b| done[b.range()].iter().any(Option::is_none))
+        .collect();
+    order.sort_by_key(|b| std::cmp::Reverse(b.n));
+    let journal = match fanout.journal {
+        Some((path, fp)) if !order.is_empty() => Some(Mutex::new((
+            open_journal_for_append(path, fp)?,
+            done.iter().flatten().count(),
+        ))),
+        _ => None,
+    };
+    let picker = Mutex::new(Executed::default());
+    let fail = |e: io::Error| {
+        picker
+            .lock()
+            .expect("sweep picker lock")
+            .error
+            .get_or_insert(e);
+    };
+    let finished = parallel_map_counted(
+        &order,
+        |r: &Option<(usize, Vec<(bool, f64)>)>| r.as_ref().map_or(0, |(_, jobs)| jobs.len()),
+        // A slot runs the picker's next bundle, not its own item: the
+        // picks must follow the cost order under one lock.
+        |_| {
+            let bundle = picker
+                .lock()
+                .expect("sweep picker lock")
+                .pick(&order, fanout)?;
+            let results = bundle
+                .range()
+                .zip(&bundle.seeds)
+                .map(|(i, &seed)| run(i, bundle.n, seed))
+                .collect::<io::Result<Vec<_>>>()
+                .map_err(fail)
+                .ok()?;
+            if let Some(file) = &journal {
+                let mut block = String::new();
+                write_block(&mut block, bundle.start, &results);
+                let mut file = file.lock().expect("sweep journal lock");
+                file.0
+                    .write_all(block.as_bytes())
+                    .and_then(|()| file.0.flush())
+                    .map_err(fail)
+                    .ok()?;
+                file.1 += results.len();
+                if let Some(after) = fanout.after_block {
+                    after(bundle, file.1);
+                }
+            }
+            Some((bundle.start, results))
+        },
+    );
+    let mut executed = picker.into_inner().expect("sweep picker lock");
+    if let Some(e) = executed.error.take() {
+        return Err(e);
+    }
+    for (start, results) in finished.into_iter().flatten() {
+        for (k, result) in results.into_iter().enumerate() {
+            done[start + k] = Some(result);
+        }
+    }
+    executed.workers = worker_count(order.len());
+    Ok(executed)
 }
 
 /// The fresh engine of one sweep job: `make(n)` on `n` agents, seeded from
@@ -543,8 +687,8 @@ where
         .expect("population sizes are >= 2 by construction")
 }
 
-/// The one sweep job executor: runs a [`fresh_engine`] to a single leader
-/// within `max_steps` and returns `(converged, parallel_time)`.
+/// One sweep job: runs a [`fresh_engine`] to a single leader within
+/// `max_steps` and returns `(converged, parallel_time)`.
 pub(crate) fn run_election<P, F>(make: &F, n: usize, seed: u64, max_steps: u64) -> (bool, f64)
 where
     P: LeaderElection,
@@ -552,23 +696,6 @@ where
 {
     let outcome = fresh_engine(make, n, seed).run_until_single_leader(max_steps);
     (outcome.converged, outcome.parallel_time(n))
-}
-
-/// Runs every job of a bundle ([`run_election`] per seed), in job order.
-pub(crate) fn run_bundle<P, F>(
-    make: &F,
-    n: usize,
-    seeds: &[u64],
-    max_steps: u64,
-) -> Vec<(bool, f64)>
-where
-    P: LeaderElection,
-    F: Fn(usize) -> P,
-{
-    seeds
-        .iter()
-        .map(|&seed| run_election(make, n, seed, max_steps))
-        .collect()
 }
 
 /// Aggregates flat per-job outcomes into one [`SweepPoint`] per entry of
@@ -605,7 +732,244 @@ pub(crate) fn aggregate_points(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{fingerprint, load_journal, JOURNAL_FILE};
     use pp_protocols::Fratricide;
+    use std::path::PathBuf;
+
+    /// A unique scratch directory, removed on drop.
+    struct Scratch(PathBuf);
+
+    impl Scratch {
+        fn new(name: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("ppexec_test_{}_{name}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            Self(dir)
+        }
+
+        fn journal(&self) -> PathBuf {
+            self.0.join(JOURNAL_FILE)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A job-indexed result table, as [`execute`] fills it in.
+    type Results = Vec<Option<(bool, f64)>>;
+
+    /// Every job of a fratricide grid, run straight through.
+    fn plain(ns: &[usize], seeds: u64, master: u64) -> Vec<(bool, f64)> {
+        run_grid(ns, seeds, master, |n, seed| {
+            run_election(&|_| Fratricide, n, seed, u64::MAX)
+        })
+    }
+
+    /// One journaled fan-out of a fratricide grid at bundle width `lanes`,
+    /// resuming from `dir`'s journal: the checkpointed sweep's bundle mode
+    /// at any width (same fingerprint, so its journals are interchangeable).
+    fn journaled(
+        dir: &Scratch,
+        (ns, seeds, master): (&[usize], u64, u64),
+        lanes: usize,
+        job_limit: Option<usize>,
+    ) -> io::Result<(Executed, Results)> {
+        let fp = fingerprint(ns, seeds, master, u64::MAX, false);
+        let path = dir.journal();
+        let mut done = load_journal(&path, fp, ns.len() * seeds as usize)?;
+        let fanout = Fanout {
+            job_limit,
+            claim: None,
+            journal: Some((&path, fp)),
+            after_block: None,
+        };
+        let executed = execute(
+            &sweep_bundles(ns, seeds, master, lanes),
+            &mut done,
+            &fanout,
+            |_, n, seed| Ok(run_election(&|_| Fratricide, n, seed, u64::MAX)),
+        )?;
+        Ok((executed, done))
+    }
+
+    fn assert_bits_equal(done: &[Option<(bool, f64)>], expected: &[(bool, f64)], what: &str) {
+        assert_eq!(done.len(), expected.len(), "{what}");
+        for (i, (got, want)) in done.iter().zip(expected).enumerate() {
+            let got = got.unwrap_or_else(|| panic!("{what}: job {i} missing"));
+            assert_eq!(got.0, want.0, "{what}: job {i}");
+            assert_eq!(got.1.to_bits(), want.1.to_bits(), "{what}: job {i}");
+        }
+    }
+
+    #[test]
+    fn executor_journals_the_same_results_at_every_bundle_width() {
+        // 7 seeds per size: widths 3 and 8 leave ragged final bundles.
+        let grid = (&[64usize, 16, 32][..], 7u64, 2024u64);
+        let expected = plain(grid.0, grid.1, grid.2);
+        for lanes in [1usize, 3, 8] {
+            let what = format!("width {lanes}");
+            let dir = Scratch::new(&format!("width_{lanes}"));
+            let (executed, done) = journaled(&dir, grid, lanes, None).expect("fan-out runs");
+            assert_eq!(executed.fresh_jobs, expected.len(), "{what}");
+            assert!(!executed.suspended, "{what}");
+            assert_bits_equal(&done, &expected, &what);
+            // Replaying the journal reads back the same bits.
+            let fp = fingerprint(grid.0, grid.1, grid.2, u64::MAX, false);
+            let replayed = load_journal(&dir.journal(), fp, expected.len()).unwrap();
+            assert_bits_equal(&replayed, &expected, &format!("{what}, replayed"));
+            let markers = std::fs::read_to_string(dir.journal())
+                .unwrap()
+                .lines()
+                .filter(|l| l.starts_with("bundle "))
+                .count();
+            assert_eq!(markers, 3 * 7usize.div_ceil(lanes), "{what}");
+        }
+    }
+
+    #[test]
+    fn executor_job_limit_takes_bundles_largest_n_first() {
+        // Crash after every 3 fresh jobs until the grid completes. At
+        // width 2 each size's 5 seeds bundle as [2, 2, 1]; bundles are
+        // taken largest-n-first until the taken jobs reach 3, so the
+        // rounds take n = 24's [2, 2], then its [1] and n = 16's [2], then
+        // n = 16's [2, 1].
+        let dir = Scratch::new("limit");
+        let grid = (&[16usize, 24][..], 5u64, 77u64);
+        let mut rounds = Vec::new();
+        let done = loop {
+            assert!(rounds.len() < 20, "fan-out failed to make progress");
+            let (executed, done) = journaled(&dir, grid, 2, Some(3)).expect("fan-out runs");
+            rounds.push(executed.fresh_jobs);
+            let complete = done.iter().all(Option::is_some);
+            assert_eq!(executed.suspended, !complete);
+            if complete {
+                break done;
+            }
+        };
+        assert_eq!(rounds, vec![4, 3, 3], "10 jobs in width-2 bundles");
+        assert_bits_equal(&done, &plain(grid.0, grid.1, grid.2), "resumed");
+        // A finished journal replays: nothing fresh, same bits.
+        let (executed, replayed) = journaled(&dir, grid, 2, Some(3)).expect("replay runs");
+        assert_eq!(executed.fresh_jobs, 0);
+        assert!(!executed.suspended);
+        assert_bits_equal(&replayed, &plain(grid.0, grid.1, grid.2), "replayed");
+    }
+
+    #[test]
+    fn executor_resumes_a_journal_at_another_width() {
+        // Width 2 journals jobs 0 and 1; width-3 bundles [0, 3) and [3, 4)
+        // are both incomplete, so all four jobs run.
+        let dir = Scratch::new("rewidth");
+        let grid = (&[16usize][..], 4u64, 1u64);
+        let (first, _) = journaled(&dir, grid, 2, Some(1)).expect("fan-out runs");
+        assert_eq!((first.fresh_jobs, first.suspended), (2, true));
+        let (second, done) = journaled(&dir, grid, 3, None).expect("another width resumes");
+        assert_eq!((second.fresh_jobs, second.suspended), (4, false));
+        assert_bits_equal(&done, &plain(grid.0, grid.1, grid.2), "rewidth");
+    }
+
+    #[test]
+    fn executor_reruns_torn_records_and_blocks() {
+        let grid = (&[16usize][..], 4u64, 13u64);
+        let expected = plain(grid.0, grid.1, grid.2);
+        // A record cut off halfway through, after two one-job blocks: the
+        // torn tail is tolerated and its job reruns.
+        let dir = Scratch::new("torn_record");
+        journaled(&dir, grid, 1, Some(2)).expect("fan-out runs");
+        let mut text = std::fs::read_to_string(dir.journal()).unwrap();
+        text.push_str("bundle 2 1\ndone 2 1 3ff");
+        std::fs::write(dir.journal(), &text).unwrap();
+        let (executed, done) = journaled(&dir, grid, 1, None).expect("torn tail is tolerated");
+        assert_eq!(executed.fresh_jobs, 2);
+        assert_bits_equal(&done, &expected, "torn record");
+
+        // A width-2 block cut after its first record: the bundle is
+        // incomplete, so both of its jobs rerun.
+        let dir = Scratch::new("torn_block");
+        journaled(&dir, grid, 2, Some(1)).expect("fan-out runs");
+        let text = std::fs::read_to_string(dir.journal()).unwrap();
+        // header + "bundle 0 2" + two done lines: drop the final done line.
+        let mut lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4, "unexpected journal shape:\n{text}");
+        lines.pop();
+        std::fs::write(dir.journal(), lines.join("\n") + "\n").unwrap();
+        let (executed, done) = journaled(&dir, grid, 2, None).expect("incomplete bundles rerun");
+        assert_eq!(
+            executed.fresh_jobs, 4,
+            "the cut bundle plus the remaining one"
+        );
+        assert_bits_equal(&done, &expected, "torn block");
+    }
+
+    #[test]
+    fn executor_claims_in_cost_order_under_the_job_limit() {
+        // Width 2, 5 seeds: n = 16 bundles start at 0, 2, 4 and n = 32
+        // bundles at 5, 7, 9. Another process holds bundle 7. With a
+        // limit of 4 the picks go 5 (2 jobs), 7 (lost), 9 (1 job), 0
+        // (2 jobs, reaching the limit) and stop — on every thread timing.
+        let bundles = sweep_bundles(&[16, 32], 5, 3, 2);
+        for _ in 0..20 {
+            let tried = Mutex::new(Vec::new());
+            let claim = |b: &SweepBundle| {
+                tried.lock().unwrap().push(b.start);
+                Ok(b.start != 7)
+            };
+            let fanout = Fanout {
+                job_limit: Some(4),
+                claim: Some(&claim),
+                ..Fanout::default()
+            };
+            let mut done = vec![None; 10];
+            let executed = execute(&bundles, &mut done, &fanout, |_, n, seed| {
+                Ok(run_election(&|_| Fratricide, n, seed, u64::MAX))
+            })
+            .expect("fan-out runs");
+            assert_eq!(tried.into_inner().unwrap(), vec![5, 7, 9, 0]);
+            assert_eq!((executed.fresh_jobs, executed.suspended), (5, true));
+            let ran: Vec<usize> = (0..10).filter(|&i| done[i].is_some()).collect();
+            assert_eq!(ran, vec![0, 1, 5, 6, 9]);
+        }
+    }
+
+    #[test]
+    fn executor_returns_the_first_io_error() {
+        let bundles = sweep_bundles(&[16], 6, 3, 2);
+        let dir = Scratch::new("failing_run");
+        let path = dir.journal();
+        let fanout = Fanout {
+            job_limit: None,
+            claim: None,
+            journal: Some((&path, 1)),
+            after_block: None,
+        };
+        let mut done = vec![None; 6];
+        let err = execute(&bundles, &mut done, &fanout, |job, n, seed| {
+            if job == 3 {
+                return Err(io::Error::other("job 3 failed"));
+            }
+            Ok(run_election(&|_| Fratricide, n, seed, u64::MAX))
+        })
+        .expect_err("a failing job fails the fan-out");
+        assert_eq!(err.to_string(), "job 3 failed");
+        // The failed bundle [2, 4) was never journaled.
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(!text.contains("bundle 2 2"), "{text}");
+
+        let claim = |_: &SweepBundle| Err(io::Error::other("claim failed"));
+        let fanout = Fanout {
+            claim: Some(&claim),
+            ..Fanout::default()
+        };
+        let err = execute(&bundles, &mut [None; 6], &fanout, |_, _, _| {
+            panic!("nothing runs without a claim")
+        })
+        .expect_err("a failing claim fails the fan-out");
+        assert_eq!(err.to_string(), "claim failed");
+    }
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -690,14 +1054,26 @@ mod tests {
     #[test]
     fn cost_order_is_largest_n_first_and_stable() {
         // ns deliberately not sorted: 5 seeds at width 2 → bundles
-        // [2, 2, 1] per size, and the order must pick every n = 64 bundle
-        // first while preserving job order within each size.
+        // [2, 2, 1] per size, and the executor must pick every n = 64
+        // bundle first while preserving job order within each size. A
+        // claim hook that loses every bundle records the pick order.
         let bundles = sweep_bundles(&[16, 64, 32], 5, 3, 2);
-        let sizes: Vec<usize> = bundles.iter().map(|b| b.n).collect();
-        let order = cost_order(&sizes);
-        let ns: Vec<usize> = order.iter().map(|&i| bundles[i].n).collect();
+        let picked = Mutex::new(Vec::new());
+        let claim = |b: &SweepBundle| {
+            picked.lock().unwrap().push((b.n, b.start));
+            Ok(false)
+        };
+        let fanout = Fanout {
+            claim: Some(&claim),
+            ..Fanout::default()
+        };
+        execute(&bundles, &mut [None; 15], &fanout, |_, _, _| {
+            panic!("no bundle was claimed")
+        })
+        .expect("fan-out runs");
+        let (ns, starts): (Vec<usize>, Vec<usize>) =
+            picked.into_inner().unwrap().into_iter().unzip();
         assert_eq!(ns, vec![64, 64, 64, 32, 32, 32, 16, 16, 16]);
-        let starts: Vec<usize> = order.iter().map(|&i| bundles[i].start).collect();
         assert_eq!(starts, vec![5, 7, 9, 10, 12, 14, 0, 2, 4]);
     }
 
@@ -707,7 +1083,9 @@ mod tests {
         // job-order results of a plain job-by-job traversal — same order,
         // same bits.
         let ns = [32usize, 16];
-        let flat = sweep_flat(&|_| Fratricide, &ns, 5, 42, u64::MAX);
+        let flat = run_grid(&ns, 5, 42, |n, seed| {
+            run_election(&|_| Fratricide, n, seed, u64::MAX)
+        });
         let expected: Vec<(bool, f64)> = sweep_jobs(&ns, 5, 42)
             .iter()
             .map(|&(n, seed)| run_election(&|_| Fratricide, n, seed, u64::MAX))

@@ -4,8 +4,9 @@
 //! The in-process sweep, the checkpointed sweep and the sweep fabric must
 //! report the same points — bit for bit, `Summary::checksum` included — at
 //! every bundle width, because a bundle is only a claim and journal
-//! granule. Each job must equal a fresh `CountSimulation` run on the job's
-//! seed. Journals of older formats must be refused, not merged: `ppsweep
+//! granule (the executor's unit tests cover the journal at widths 1, 3 and
+//! 8). Each job must equal a fresh `CountSimulation` run on the job's
+//! seed, and the checkpointed sweep's rollups count jobs, not bundles. Journals of older formats must be refused, not merged: `ppsweep
 //! v2` (lockstep bundle results that depended on the width) and `ppsweep
 //! v3` (results drawn under the retired default round law).
 
@@ -15,7 +16,7 @@ use pp_protocols::Fratricide;
 use pp_rand::{SeedSequence, Xoshiro256PlusPlus};
 use pp_sim::fabric::{merge_shards, points_table, run_sequential, shard_dir, FabricSpec};
 use pp_sim::{
-    stabilization_sweep, stabilization_sweep_checkpointed, stabilization_sweep_checkpointed_wide,
+    enable_sweep_rollup, stabilization_sweep, stabilization_sweep_checkpointed, take_sweep_rollups,
     CheckpointConfig, SweepPoint, SweepStatus,
 };
 use std::io;
@@ -55,23 +56,21 @@ fn sweep_points_are_identical_at_every_bundle_width() {
     let ns = [64usize, 16, 32];
     let (seeds, master) = (7u64, 2024u64);
     let plain = stabilization_sweep(|_| Fratricide, &ns, seeds, master, u64::MAX);
+    let dir = Scratch::new("ckpt");
+    let status = stabilization_sweep_checkpointed(
+        |_| Fratricide,
+        &ns,
+        seeds,
+        master,
+        u64::MAX,
+        &CheckpointConfig::new(&dir.0),
+    )
+    .expect("sweep checkpoints");
+    let SweepStatus::Complete { points, .. } = status else {
+        panic!("no job limit: sweep must complete");
+    };
+    assert_points_bit_identical(&plain, &points, "checkpointed");
     for lanes in [1usize, 3, 8] {
-        let dir = Scratch::new(&format!("ckpt_w{lanes}"));
-        let status = stabilization_sweep_checkpointed_wide(
-            |_| Fratricide,
-            &ns,
-            seeds,
-            master,
-            u64::MAX,
-            &CheckpointConfig::new(&dir.0),
-            lanes,
-        )
-        .expect("sweep checkpoints");
-        let SweepStatus::Complete { points, .. } = status else {
-            panic!("no job limit: sweep must complete");
-        };
-        assert_points_bit_identical(&plain, &points, &format!("checkpointed, width {lanes}"));
-
         let spec = FabricSpec {
             protocol: "fratricide".into(),
             ns: ns.to_vec(),
@@ -110,6 +109,33 @@ where
             );
         }
     }
+}
+
+#[test]
+fn checkpointed_rollups_count_jobs_not_bundles() {
+    // 3 sizes × 11 seeds = 33 jobs in six width-8 bundles ([8, 3] per
+    // size). No other test in this binary drains the rollups, and none
+    // runs a 33-job fan-out.
+    enable_sweep_rollup();
+    let dir = Scratch::new("rollups");
+    let status = stabilization_sweep_checkpointed(
+        |_| Fratricide,
+        &[16, 24, 40],
+        11,
+        3,
+        u64::MAX,
+        &CheckpointConfig::new(&dir.0),
+    )
+    .expect("sweep checkpoints");
+    assert!(matches!(
+        status,
+        SweepStatus::Complete { fresh_jobs: 33, .. }
+    ));
+    let rollups = take_sweep_rollups();
+    assert!(
+        rollups.iter().any(|r| r.jobs == 33),
+        "no rollup counts the sweep's 33 jobs: {rollups:?}"
+    );
 }
 
 #[test]

@@ -42,3 +42,22 @@ fn seeds_at_or_above_2_pow_32_are_a_usage_error() {
         "a rejected grid must not create its directory"
     );
 }
+
+#[test]
+fn worker_ids_at_or_above_max_shards_are_a_usage_error() {
+    let dir = Scratch::new("worker");
+    let out = Command::new(env!("CARGO_BIN_EXE_ppsweep"))
+        .args(["--ns", "16", "--seeds", "2", "--worker", "4096", "--dir"])
+        .arg(&dir.0)
+        .output()
+        .expect("ppsweep runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("shard id 4096"), "stderr: {stderr}");
+    assert!(stderr.contains("usage: ppsweep"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(
+        !dir.0.exists(),
+        "a rejected shard id must not create its directory"
+    );
+}
