@@ -54,8 +54,8 @@
 
 use crate::round::BatchScratch;
 
-/// Throughput counters of the batch tier (see
-/// [`CountSimulation::batch_stats`](crate::CountSimulation::batch_stats)).
+/// Throughput counters of the batch tier (field `batch` of
+/// [`CountSimulation::metrics`](crate::CountSimulation::metrics)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Batch episodes executed (one per `begin`/merge cycle).

@@ -24,8 +24,8 @@
 //! (the paper's `P_LL` visits a few hundred states even at `n = 2^20`).
 //! Protocols whose state space grows with the population (e.g. an unbounded
 //! lottery) would blow the quadratic table up, so the addressable-id range is
-//! capped by [`EngineConfig::max_compiled_states`](crate::EngineConfig): once
-//! more states than that have been interned the cache **saturates** — pairs
+//! capped at [`MAX_COMPILED_STATES`]: once more states than that have been
+//! interned the cache **saturates** — pairs
 //! whose ids fit keep their one-load fast path, pairs touching higher ids
 //! fall back to calling `transition` per encounter. Saturation replaces the
 //! old all-or-nothing self-deactivation: there is no cliff, and the engine's
@@ -40,7 +40,7 @@
 //! entry is zero. A zero sentinel lets large tables be zeroed allocations,
 //! which the OS maps lazily — growth, compaction and restore touch only the
 //! pages their filled slots land on, not all `4·stride²` bytes. The flag is
-//! internal: [`for_each_filled`](PairCache::for_each_filled) reports entries
+//! internal: `PairCache::for_each_filled` reports entries
 //! without it, so snapshots store the flag-free words. The 12-bit id fields
 //! are what cap the addressable range at 4096; the narrow entries keep the
 //! dense table half the size it would be with `u64`, which matters because
@@ -61,10 +61,8 @@ const NULL_BIT: u32 = DELTA_SHIFT + 3;
 /// Set in every packed entry so that no entry equals [`EMPTY`].
 const FILLED_BIT: u32 = 1 << (NULL_BIT + 1);
 
-/// The hard ceiling on addressable interned states — the full reach of the
-/// packed 12-bit id fields. [`EngineConfig::max_compiled_states`]
-/// (crate::EngineConfig) defaults to this value and cannot exceed it. The
-/// worst-case table is `4096² · 4 B = 64 MiB`, but the table is grown lazily
+/// The cap on addressable interned states — the full reach of the packed
+/// 12-bit id fields. The worst-case table is `4096² · 4 B = 64 MiB`, but the table is grown lazily
 /// by doubling, so a protocol only ever pays for (the next power of two of)
 /// the states it actually addresses.
 pub const MAX_COMPILED_STATES: usize = 1 << ID_BITS;
@@ -333,13 +331,12 @@ impl PairCache {
     /// list (in fill order). Returns `None` instead of panicking on
     /// inconsistent input — this is fed from deserialized bytes.
     pub(crate) fn restore(
-        limit: usize,
         active: bool,
         shift: u32,
         has_table: bool,
         entries: &[(u16, u16, u32)],
     ) -> Option<Self> {
-        let mut cache = Self::new(limit);
+        let mut cache = Self::new(MAX_COMPILED_STATES);
         cache.active = active;
         if !has_table || !active {
             // An inactive cache never holds a table; a never-grown active

@@ -17,10 +17,12 @@
 //!
 //! # The four execution tiers
 //!
-//! Every batched driver ([`run`](CountSimulation::run),
-//! [`run_batched`](CountSimulation::run_batched),
-//! [`run_until_single_leader`](CountSimulation::run_until_single_leader))
-//! dispatches through the [tier controller](crate::tier): periodic reviews
+//! The engine has one dispatch loop. Both drivers —
+//! [`run`](CountSimulation::run) (with
+//! [`run_batched`](CountSimulation::run_batched) on top of it) and
+//! [`run_until_single_leader`](CountSimulation::run_until_single_leader),
+//! which also tracks the leader count — are thin wrappers over it. At its
+//! dispatch boundaries, periodic [tier](crate::EngineTier) reviews
 //! pick the cheapest execution strategy for the *current* configuration and
 //! re-evaluate as it evolves.
 //!
@@ -50,8 +52,8 @@
 //! including the exact step counts at which the configuration changes — but
 //! they consume the RNG stream differently, so only tiers 1 and 2 are
 //! bit-identical to each other. The 4-tier chi-square equivalence suite
-//! (`tests/batch_equivalence.rs`) pins the law; heuristics, thresholds, and
-//! the cache cap are tunable through [`EngineConfig`].
+//! (`tests/batch_equivalence.rs`) pins the law. The heuristics' thresholds
+//! and the cache cap are fixed constants, not runtime knobs.
 //!
 //! # State-id compaction
 //!
@@ -70,7 +72,7 @@ use crate::compiled::{self, PairCache};
 use crate::obs::{EngineEvent, EngineMetrics, EngineObserver};
 use crate::round::{self, RoundDraw};
 use crate::snapshot::{self, SnapshotError, SnapshotReader, SnapshotState, SnapshotWriter};
-use crate::tier::{self, EngineConfig, EngineTier, JumpStats, TierController, TierUsage};
+use crate::tier::{self, EngineTier, JumpStats, TierController, TierUsage};
 use crate::{EngineError, LeaderElection, Protocol, Role, RunOutcome, CONVERGENCE_BATCH};
 use pp_rand::{Geometric, Rng64, RngSnapshot, SumTreeSampler, Xoshiro256PlusPlus};
 use std::collections::HashMap;
@@ -81,6 +83,13 @@ use std::time::Instant;
 /// reclaimed by compaction). Re-interning such a state allocates a fresh
 /// slot without recounting it as newly distinct.
 const DEAD_ID: u32 = u32::MAX;
+
+/// The leader count the dispatch loop carries for
+/// [`run`](CountSimulation::run), which does not track leaders. An interaction moves the count by at most
+/// 2, so reaching 1 from here takes over 2^61 non-null interactions; and a
+/// batch round walks only when the count is within `2·bulk < n < 2^32` of 1.
+/// So an untracked run never stops early and never walks.
+const UNTRACKED: i64 = i64::MIN / 2;
 
 /// Exact count-based engine; see the module-level documentation above.
 ///
@@ -145,31 +154,16 @@ pub struct CountSimulation<P: Protocol, R = Xoshiro256PlusPlus> {
 }
 
 impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
-    /// Creates a count simulation of `n` agents in the initial state, with
-    /// the default [`EngineConfig`].
+    /// Creates a count simulation of `n` agents in the initial state.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::PopulationTooSmall`] when `n < 2`.
     pub fn new(protocol: P, n: usize, rng: R) -> Result<Self, EngineError> {
-        Self::with_config(protocol, n, rng, EngineConfig::default())
-    }
-
-    /// Creates a count simulation with explicit tier-heuristic tuning.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::PopulationTooSmall`] when `n < 2`.
-    pub fn with_config(
-        protocol: P,
-        n: usize,
-        rng: R,
-        config: EngineConfig,
-    ) -> Result<Self, EngineError> {
         if n < 2 {
             return Err(EngineError::PopulationTooSmall { n });
         }
-        let mut sim = Self::empty(protocol, rng, config);
+        let mut sim = Self::empty(protocol, rng);
         let init = sim.protocol.initial_state();
         let id = sim.intern(init) as usize;
         sim.add_agents(id, n as u64);
@@ -186,22 +180,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         counts: impl IntoIterator<Item = (P::State, u64)>,
         rng: R,
     ) -> Result<Self, EngineError> {
-        Self::from_counts_with_config(protocol, counts, rng, EngineConfig::default())
-    }
-
-    /// Creates a count simulation from explicit state counts with explicit
-    /// tier-heuristic tuning.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::PopulationTooSmall`] when counts sum to < 2.
-    pub fn from_counts_with_config(
-        protocol: P,
-        counts: impl IntoIterator<Item = (P::State, u64)>,
-        rng: R,
-        config: EngineConfig,
-    ) -> Result<Self, EngineError> {
-        let mut sim = Self::empty(protocol, rng, config);
+        let mut sim = Self::empty(protocol, rng);
         for (state, count) in counts {
             if count == 0 {
                 continue;
@@ -215,8 +194,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         Ok(sim)
     }
 
-    fn empty(protocol: P, rng: R, config: EngineConfig) -> Self {
-        let tiers = TierController::new(config);
+    fn empty(protocol: P, rng: R) -> Self {
         Self {
             protocol,
             rng,
@@ -227,8 +205,8 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
             leader_output: None,
             support: 0,
             sampler: SumTreeSampler::new(0),
-            pairs: PairCache::new(tiers.config.max_compiled_states),
-            tiers,
+            pairs: PairCache::new(compiled::MAX_COMPILED_STATES),
+            tiers: TierController::new(),
             n: 0,
             steps: 0,
             obs: None,
@@ -267,12 +245,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         id
     }
 
-    /// The engine's tier configuration (fixed at construction).
-    pub fn config(&self) -> &EngineConfig {
-        &self.tiers.config
-    }
-
-    /// The execution tier the batched drivers are currently dispatching to.
+    /// The execution tier the dispatch loop is currently dispatching to.
     pub fn active_tier(&self) -> EngineTier {
         if self.tiers.jump.engaged {
             EngineTier::Jump
@@ -291,9 +264,9 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     /// stream — the cache consumes no randomness — so executions are
     /// bit-identical either way; disabling only removes the fast path (every
     /// step then hashes, clones, and calls [`Protocol::transition`]). Past
-    /// [`EngineConfig::max_compiled_states`] interned states the cache
-    /// *saturates* — higher ids fall back to per-encounter transitions until
-    /// compaction frees ids — instead of deactivating.
+    /// [`MAX_COMPILED_STATES`](compiled::MAX_COMPILED_STATES) interned
+    /// states the cache *saturates* — higher ids fall back to per-encounter
+    /// transitions until compaction frees ids — instead of deactivating.
     ///
     /// Disabling the cache also shuts down the jump scheduler and the batch
     /// tier's heuristic engagement (both read compiled knowledge), which is
@@ -317,18 +290,18 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     /// Enables or disables the **jump scheduler** (on by default): the
     /// null-skipping fast path that replaces each run of consecutive null
     /// interactions by one geometric jump plus one exact draw from the
-    /// non-null pair distribution (see [`crate::jump`] for the argument and
-    /// the data structure).
+    /// non-null pair distribution (the engine's `jump` module documents the
+    /// argument and the data structure).
     ///
     /// The scheduler changes no distribution — executions are equal in law,
     /// including the exact step counts at which the configuration changes —
     /// but it consumes the RNG stream differently, so runs with the
     /// scheduler on and off are not bit-identical (the equivalence suite
     /// pins the law instead). It engages itself only when the compiled
-    /// cache is active and probes show null pairs carrying at least
-    /// `1 − 1/jump_engage_factor` of the scheduler weight (default `7/8`,
-    /// see [`EngineConfig`]), and disengages under hysteresis, so protocols
-    /// without a null-dominated regime never pay for it. Disabling it (or
+    /// cache is active and probes show null pairs carrying at least `7/8` of
+    /// the scheduler weight, and disengages under hysteresis (once they
+    /// carry less than `3/4`), so protocols without a null-dominated regime
+    /// never pay for it. Disabling it (or
     /// disabling the compiled cache, which it requires) restores the
     /// bit-exact per-step execution.
     ///
@@ -336,9 +309,8 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     /// integer pair arithmetic needs `n(n−1)` to fit a `u64`, so beyond the
     /// cap probes simply never engage and execution stays per-step.
     ///
-    /// Affects the batched drivers ([`run`](Self::run),
-    /// [`run_batched`](Self::run_batched),
-    /// [`run_until_single_leader`](Self::run_until_single_leader));
+    /// Affects the dispatch loop behind [`run`](Self::run) and
+    /// [`run_until_single_leader`](Self::run_until_single_leader);
     /// single-[`step`](Self::step) calls always execute per-step.
     pub fn set_jump_scheduler(&mut self, enabled: bool) {
         let jump = &mut self.tiers.jump;
@@ -353,16 +325,16 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     }
 
     /// Enables or disables the **batch tier** (on by default): collision-free
-    /// hypergeometric rounds that apply `Θ(√n)` interactions in bulk (see
-    /// [`crate::batch`] for the construction and the exactness argument).
+    /// hypergeometric rounds that apply `Θ(√n)` interactions in bulk (the
+    /// engine's `batch` and `round` modules document the construction and
+    /// the exactness argument).
     ///
     /// Like the jump scheduler, the batch tier is distribution-exact but
     /// consumes the RNG stream differently, so it is equal in law — not
     /// bit-identical — to per-step execution. It engages itself only when
-    /// the compiled cache is active, the population is at least
-    /// [`EngineConfig::batch_min_population`], and the live support is small
-    /// against the expected `Θ(√n)` round length (see
-    /// [`EngineConfig::batch_support_divisor`]); the jump scheduler, when
+    /// the compiled cache is active, the population is at least 4096, and
+    /// three times the live support is at most the expected `Θ(√n)` round
+    /// length (it disengages past twice that); the jump scheduler, when
     /// engaged, takes priority (a null-dominated configuration telescopes in
     /// `O(1)` per episode, which no round can beat).
     ///
@@ -391,16 +363,6 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         self.tiers.jump.engaged
     }
 
-    /// Episode/skip counters of the jump scheduler.
-    ///
-    /// Superseded by [`metrics`](Self::metrics), which reports the same
-    /// counters (field `jump`) alongside everything else the engine can
-    /// observe; this thin shim remains so existing callers compile
-    /// unchanged.
-    pub fn jump_stats(&self) -> JumpStats {
-        self.tiers.jump.stats
-    }
-
     /// Whether the batch tier is enabled (not necessarily engaged).
     pub fn batch_tier_enabled(&self) -> bool {
         self.tiers.batch.enabled
@@ -412,20 +374,10 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         self.tiers.batch.engaged
     }
 
-    /// Round/interaction counters of the batch tier.
-    ///
-    /// Superseded by [`metrics`](Self::metrics), which reports the same
-    /// counters (field `batch`) alongside everything else the engine can
-    /// observe; this thin shim remains so existing callers compile
-    /// unchanged.
-    pub fn batch_stats(&self) -> BatchStats {
-        self.tiers.batch.stats
-    }
-
     /// Interactions executed per tier over the whole execution (maintained
     /// at dispatch boundaries whether or not an observer is attached, and
-    /// persisted across [`snapshot`](Self::snapshot)/[`resume`]
-    /// (Self::resume) since snapshot format v3).
+    /// persisted across [`snapshot`](Self::snapshot)/[`resume`](Self::resume)
+    /// since snapshot format v3).
     pub fn tier_usage(&self) -> TierUsage {
         self.tiers.usage
     }
@@ -462,8 +414,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     /// One unified [`EngineMetrics`] snapshot: population, progress, tier
     /// usage, jump/batch counters, cache state, and — when an observer is
     /// attached — event counts and the wall-time timeline. Always
-    /// available; supersedes the [`jump_stats`](Self::jump_stats)/
-    /// [`batch_stats`](Self::batch_stats) split.
+    /// available.
     pub fn metrics(&self) -> EngineMetrics {
         EngineMetrics {
             population: self.n,
@@ -774,8 +725,8 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     /// Executes one interaction; returns `true` if any state count changed.
     ///
     /// The population invariant (`n ≥ 2`, enforced at construction) makes
-    /// the sampling error unreachable; see [`move_agent`](Self::move_agent)
-    /// for why it is absorbed without a panic edge.
+    /// the sampling error unreachable; it is absorbed without a panic edge,
+    /// which keeps unwinding paths out of the hot loop.
     #[inline]
     pub fn step(&mut self) -> bool {
         let Ok((s, t)) = self.sampler.sample_pair_distinct(&mut self.rng) else {
@@ -793,21 +744,30 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     }
 
     /// Executes up to `max` interactions entirely on the compiled fast
-    /// path, then handles at most one cache miss, returning the number of
-    /// interactions executed (0 only if `max == 0`).
+    /// path, folding each one's cached leader delta into `leaders`, then
+    /// handles at most one cache miss. Executes at least one interaction
+    /// (`max > 0` required) and stops the moment the count hits exactly 1,
+    /// with [`steps`](Self::steps) exact. An [`UNTRACKED`] count never
+    /// reaches 1, and before role tracking is primed every delta is 0.
     ///
     /// The inner loop holds every hot field through *split borrows* and
     /// calls nothing that takes `&mut self`: a `&mut self` callee (such as
     /// the interning [`compile_pair`](Self::compile_pair)) could touch any
     /// field, which would force the optimizer to spill the RNG words, step
-    /// counter, and support count back to memory on every iteration.
-    /// Keeping the miss path outside the loop is what lets them live in
-    /// registers for the whole chunk. A miss still consumes its RNG draw,
-    /// so the drawn pair is carried out of the loop and completed through
-    /// the compile path before returning.
-    fn run_chunk(&mut self, max: u64) -> u64 {
+    /// counter, support and leader counts back to memory on every
+    /// iteration. Keeping the miss path outside the loop is what lets them
+    /// live in registers for the whole chunk. A miss still consumes its RNG
+    /// draw, so the drawn pair is carried out of the loop and completed
+    /// through the compile path before returning. For the same reason the
+    /// loop counts `left` down (`max` is dead inside it) and the function is
+    /// never inlined: inlined into the dispatch loop, next to the inlined
+    /// episode code, it had the sampler and RNG pointers reloaded from the
+    /// stack on every step.
+    #[inline(never)]
+    fn run_chunk(&mut self, max: u64, leaders: &mut i64) {
         let mut pending = None;
-        let mut done = 0u64;
+        let mut left = max;
+        let mut count = *leaders;
         {
             let Self {
                 sampler,
@@ -817,7 +777,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
                 ..
             } = self;
             let mut sup = *support;
-            while done < max {
+            while left > 0 {
                 let Ok((s, t)) = sampler.sample_pair_distinct(rng) else {
                     debug_assert!(false, "population has >= 2 agents");
                     break;
@@ -827,7 +787,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
                     pending = Some((s, t));
                     break;
                 }
-                let (a, b, _, _) = compiled::unpack(entry);
+                let (a, b, delta, _) = compiled::unpack(entry);
                 let (Ok(e1), Ok(e2)) = (sampler.transfer(s, a), sampler.transfer(t, b)) else {
                     debug_assert!(false, "interned slots exist");
                     break;
@@ -835,19 +795,25 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
                 sup = sup + usize::from(e1.populated) + usize::from(e2.populated)
                     - usize::from(e1.emptied)
                     - usize::from(e2.emptied);
-                done += 1;
+                left -= 1;
+                if delta != 0 {
+                    count += i64::from(delta);
+                    if count == 1 {
+                        break;
+                    }
+                }
             }
             *support = sup;
         }
-        self.steps += done;
+        self.steps += max - left;
         if let Some((s, t)) = pending {
             self.steps += 1;
-            let (a, b, _, _) = self.compile_pair(s, t);
+            let (a, b, delta, _) = self.compile_pair(s, t);
             self.move_agent(s, a);
             self.move_agent(t, b);
-            done += 1;
+            count += i64::from(delta);
         }
-        done
+        *leaders = count;
     }
 
     /// The tier-review interval: short enough to catch small populations
@@ -860,7 +826,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
             .max(4 * self.tiers.jump.ledger.len() as u64)
     }
 
-    /// Tier review, run at batch boundaries of the batched drivers:
+    /// Tier review, run at the dispatch loop's boundaries once due:
     /// compacts the id space when enough dead ids accumulated, probes jump
     /// engagement against the current null weights, and applies the batch
     /// tier's engage/disengage heuristics.
@@ -883,7 +849,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     /// amortized slices; pinned jump mode skips compaction because forced
     /// episodes trust ledger ids across calls.
     fn compaction_due(&self) -> bool {
-        if !self.tiers.config.compaction || self.tiers.jump.forced {
+        if self.tiers.jump.forced {
             return false;
         }
         let dead = (self.states.len() - self.support) as u64;
@@ -947,8 +913,8 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     }
 
     /// Jump engagement probe: rebuilds the ledger's weights against the
-    /// current counts and engages when known-null pairs carry at least
-    /// `1 − 1/jump_engage_factor` of the total scheduler weight.
+    /// current counts and engages when known-null pairs carry enough of the
+    /// total scheduler weight ([`tier::jump_engages`]).
     fn probe_jump(&mut self) {
         let jump = &self.tiers.jump;
         if jump.engaged || !jump.enabled || !self.pairs.is_active() || jump.ledger.is_empty() {
@@ -961,7 +927,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         self.tiers.jump.ledger.rebuild(self.sampler.weights());
         let w_total = self.n * (self.n - 1);
         let w_active = w_total - self.tiers.jump.ledger.w_null();
-        if w_active.saturating_mul(self.tiers.config.jump_engage_factor) <= w_total {
+        if tier::jump_engages(w_active, w_total) {
             self.tiers.jump.engaged = true;
             let step = self.steps;
             if let Some(obs) = self.obs.as_deref_mut() {
@@ -974,11 +940,10 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         }
     }
 
-    /// Batch engage/disengage heuristics (see
-    /// [`EngineConfig::batch_support_divisor`]); the jump scheduler, when
-    /// engaged, preempts batch in dispatch regardless of this flag.
+    /// Batch engage/disengage heuristics ([`tier::batch_engages`],
+    /// [`tier::batch_exits`]); the jump scheduler, when engaged, preempts
+    /// batch in dispatch regardless of this flag.
     fn review_batch(&mut self) {
-        let config = self.tiers.config;
         let batch = &mut self.tiers.batch;
         if batch.forced {
             batch.engaged = true;
@@ -990,10 +955,10 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         }
         let was = batch.engaged;
         if was {
-            if tier::batch_exits(self.support, self.n, &config) {
+            if tier::batch_exits(self.support, self.n) {
                 batch.engaged = false;
             }
-        } else if tier::batch_engages(self.support, self.n, &config) {
+        } else if tier::batch_engages(self.support, self.n) {
             batch.engaged = true;
         }
         let now = self.tiers.batch.engaged;
@@ -1022,11 +987,10 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     /// [`crate::jump`]): telescopes the geometric run of known-null draws in
     /// `O(1)`, then draws one interaction from the active-candidate
     /// distribution and executes it. Consumes at most `max` interactions
-    /// (`max > 0` required); returns `(consumed, leader_delta)`, where the
-    /// delta is the executed interaction's cached leader-count change — or 0
-    /// when the budget ran out inside the null run, which leaves the
-    /// configuration untouched by construction.
-    fn jump_episode(&mut self, max: u64) -> (u64, i8) {
+    /// (`max > 0` required); returns the executed interaction's cached
+    /// leader-count change — or 0 when the budget ran out inside the null
+    /// run, which leaves the configuration untouched by construction.
+    fn jump_episode(&mut self, max: u64) -> i8 {
         debug_assert!(max > 0);
         self.tiers.jump.ledger.sync(self.sampler.weights());
         let w_total = self.n * (self.n - 1);
@@ -1037,7 +1001,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
             // is silent and the remaining budget telescopes away whole.
             self.steps += max;
             self.tiers.jump.stats.skipped += max;
-            return (max, 0);
+            return 0;
         }
         let skip = if w_null == 0 {
             0
@@ -1050,7 +1014,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         if skip >= max {
             self.steps += max;
             self.tiers.jump.stats.skipped += max;
-            return (max, 0);
+            return 0;
         }
         self.tiers.jump.stats.skipped += skip;
         self.tiers.jump.stats.episodes += 1;
@@ -1078,7 +1042,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         }
         if !self.tiers.jump.forced && self.tiers.jump.engaged {
             let w_active_now = w_total - self.tiers.jump.ledger.w_null();
-            if w_active_now.saturating_mul(self.tiers.config.jump_exit_factor) > w_total {
+            if tier::jump_exits(w_active_now, w_total) {
                 self.tiers.jump.engaged = false;
                 self.tiers.review_at = self.steps + self.review_interval();
                 let (step, stats) = (self.steps, self.tiers.jump.stats);
@@ -1093,7 +1057,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
                 }
             }
         }
-        (skip + 1, delta)
+        delta
     }
 
     /// Executes one batch episode (see [`crate::batch`] and
@@ -1102,11 +1066,11 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
     /// two-urn decomposition, and executes the terminating collision
     /// interaction individually when it falls inside the budget. One urn
     /// lifetime (`begin`, apply, merge) around one [`round::draw_round`].
-    /// Returns `(consumed, hit)`; with `leaders` supplied the running
-    /// count is maintained exactly, and a round that could touch a count of
-    /// 1 is resolved by the exact shuffled walk, stopping (and discarding
-    /// the unexecuted tail) at the precise hitting step.
-    fn batch_episode(&mut self, max: u64, mut leaders: Option<&mut i64>) -> (u64, bool) {
+    /// The running count `leaders` is maintained exactly, and a round that
+    /// could touch a count of 1 is resolved by the exact shuffled walk,
+    /// stopping (and discarding the unexecuted tail) at the precise hitting
+    /// step. An [`UNTRACKED`] count is too far from 1 for any round to walk.
+    fn batch_episode(&mut self, max: u64, leaders: &mut i64) {
         debug_assert!(max > 0);
         let mut scratch = std::mem::take(&mut self.tiers.batch.scratch);
         scratch.begin(self.sampler.weights());
@@ -1116,9 +1080,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
         // The leader count can touch 1 inside the round only within ±2
         // per interaction of its entry value; rounds that provably cannot
         // skip the walk and apply pure bulk deltas.
-        let walk = leaders
-            .as_deref()
-            .is_some_and(|&l| (l - 1).unsigned_abs() <= 2 * bulk);
+        let walk = (*leaders - 1).unsigned_abs() <= 2 * bulk;
         if walk {
             self.tiers.batch.stats.exact_walks += 1;
         }
@@ -1140,20 +1102,18 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
                     scratch.add_used(a);
                     scratch.add_used(b);
                     executed += 1;
-                    if let Some(l) = leaders.as_deref_mut() {
-                        *l += i64::from(delta);
-                        if walk && delta != 0 && *l == 1 {
-                            hit = true;
-                            // Return the reserved-but-unexecuted tail to the
-                            // fresh urn; those agents never interacted.
-                            for j in i + 1..bulk as usize {
-                                let init = scratch.init_seq[j] as usize;
-                                scratch.return_fresh(init);
-                                let resp = scratch.resp_seq[j] as usize;
-                                scratch.return_fresh(resp);
-                            }
-                            break;
+                    *leaders += i64::from(delta);
+                    if walk && delta != 0 && *leaders == 1 {
+                        hit = true;
+                        // Return the reserved-but-unexecuted tail to the
+                        // fresh urn; those agents never interacted.
+                        for j in i + 1..bulk as usize {
+                            let init = scratch.init_seq[j] as usize;
+                            scratch.return_fresh(init);
+                            let resp = scratch.resp_seq[j] as usize;
+                            scratch.return_fresh(resp);
                         }
+                        break;
                     }
                 }
             }
@@ -1170,9 +1130,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
                     scratch.add_used_n(a, c);
                     scratch.add_used_n(b, c);
                     executed += c;
-                    if let Some(l) = leaders.as_deref_mut() {
-                        *l += i64::from(delta) * c as i64;
-                    }
+                    *leaders += i64::from(delta) * c as i64;
                 }
             }
         }
@@ -1204,10 +1162,7 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
             scratch.add_used(b);
             consumed += 1;
             self.tiers.batch.stats.collision_interactions += 1;
-            if let Some(l) = leaders {
-                *l += i64::from(delta);
-                hit = *l == 1 && delta != 0;
-            }
+            *leaders += i64::from(delta);
         }
         // Merge the urns back into the sampler counts.
         let states = self.states.len();
@@ -1240,77 +1195,102 @@ impl<P: Protocol, R: Rng64> CountSimulation<P, R> {
                 walked: walk,
             });
         }
-        (consumed, hit)
     }
 
     /// Executes exactly `steps` interactions.
     ///
     /// Dispatches through the tier controller: jump episodes wherever the
     /// scheduler is engaged, batch rounds wherever the batch tier is, and
-    /// compiled per-step chunks otherwise, with tier reviews at batch
+    /// compiled per-step chunks otherwise, with tier reviews at dispatch
     /// boundaries (see the module docs for the tier taxonomy).
     pub fn run(&mut self, steps: u64) {
-        let mut remaining = steps;
-        while remaining > 0 {
-            // Observation work happens only here, at dispatch boundaries:
-            // one branch on the detached path, tier-transition events plus
-            // monotonic-clock spans on the attached one. Neither touches
-            // the RNG, so attached/detached twins stay bit-identical.
-            let watched = self.obs.is_some();
-            let before = if watched {
-                Some(self.active_tier())
-            } else {
-                None
-            };
+        self.dispatch(self.steps.saturating_add(steps), None);
+    }
+
+    /// The one dispatch loop behind [`run`](Self::run) and
+    /// [`run_until_single_leader`](Self::run_until_single_leader): executes
+    /// interactions until the step count reaches `target` or, with a leader
+    /// count supplied, until that count hits exactly 1. The count is kept
+    /// exact on every tier, so the step count is exact at the hit.
+    ///
+    /// Each pass reviews the tiers when a review is due, then runs one jump
+    /// episode if the scheduler is engaged, else one batch round if that
+    /// tier is, else one compiled (or reference) per-step chunk. Episodes
+    /// get the whole remaining budget: capping one would change its draws.
+    /// A per-step chunk ends at the next review, after [`CONVERGENCE_BATCH`]
+    /// steps and, when tracking leaders, at the trajectory sampler's next
+    /// grid point; cutting a per-step window consumes no randomness.
+    fn dispatch(&mut self, target: u64, leaders: Option<&mut i64>) {
+        let tracked = leaders.is_some();
+        let mut count = leaders.as_deref().copied().unwrap_or(UNTRACKED);
+        // Observation work happens only at dispatch boundaries: one branch
+        // on the detached path, tier-transition events, monotonic-clock
+        // spans and trajectory samples on the attached one. None of it
+        // touches the RNG, so attached/detached twins stay bit-identical.
+        let watched = self.obs.is_some();
+        while count != 1 && self.steps < target {
+            let before = watched.then(|| self.active_tier());
             self.review_tiers();
             if let Some(from) = before {
                 self.observe_transition(from);
             }
-            if self.tiers.jump.engaged {
-                let t0 = if watched { Some(Instant::now()) } else { None };
-                let (consumed, _) = self.jump_episode(remaining);
-                self.tiers.usage.note(EngineTier::Jump, consumed);
-                if let Some(t0) = t0 {
-                    self.note_time(EngineTier::Jump, consumed, t0);
-                    self.observe_transition(EngineTier::Jump);
-                }
-                remaining -= consumed;
-                continue;
-            }
-            if self.tiers.batch.engaged {
-                let t0 = if watched { Some(Instant::now()) } else { None };
-                let (consumed, _) = self.batch_episode(remaining, None);
-                self.tiers.usage.note(EngineTier::Batch, consumed);
-                if let Some(t0) = t0 {
-                    self.note_time(EngineTier::Batch, consumed, t0);
-                }
-                remaining -= consumed;
-                continue;
-            }
-            let window = remaining
-                .min(self.tiers.review_at.saturating_sub(self.steps))
-                .max(1);
-            let t0 = if watched { Some(Instant::now()) } else { None };
-            let mut left = window;
-            while left > 0 {
-                let did = self.run_chunk(left);
-                if did == 0 {
-                    debug_assert!(false, "run_chunk always makes progress");
-                    return;
-                }
-                left -= did;
-            }
-            let tier = if self.pairs.is_active() {
-                EngineTier::Compiled
+            let budget = target - self.steps;
+            let t0 = watched.then(Instant::now);
+            let from = self.steps;
+            let tier = if self.tiers.jump.engaged {
+                // Null interactions cannot change the leader count, so the
+                // telescoped run needs no bookkeeping; the episode's one
+                // executed interaction reports its cached delta.
+                count += i64::from(self.jump_episode(budget));
+                EngineTier::Jump
+            } else if self.tiers.batch.engaged {
+                self.batch_episode(budget, &mut count);
+                EngineTier::Batch
             } else {
-                EngineTier::Reference
+                let mut window = budget
+                    .min(CONVERGENCE_BATCH)
+                    .min(self.tiers.review_at.saturating_sub(self.steps));
+                if tracked {
+                    window = window.min(self.sample_window());
+                }
+                self.run_chunk(window.max(1), &mut count);
+                if self.pairs.is_active() {
+                    EngineTier::Compiled
+                } else {
+                    EngineTier::Reference
+                }
             };
-            self.tiers.usage.note(tier, window);
+            let done = self.steps - from;
+            self.tiers.usage.note(tier, done);
             if let Some(t0) = t0 {
-                self.note_time(tier, window, t0);
+                self.note_time(tier, done, t0);
+                if tier == EngineTier::Jump {
+                    self.observe_transition(tier);
+                }
+                if tracked {
+                    self.sample_trajectory(count, false);
+                }
             }
-            remaining -= window;
+            // Sampled invariant check: once per round or chunk, not per step.
+            debug_assert!(
+                !tracked || tier == EngineTier::Jump || count == self.flagged_agents(),
+                "tracked leader count drifted"
+            );
         }
+        if let Some(leaders) = leaders {
+            *leaders = count;
+        }
+    }
+
+    /// Agents in states flagged as leaders: the leader count once role
+    /// tracking is primed, which the tracked count must always equal.
+    fn flagged_agents(&self) -> i64 {
+        let weights = self.sampler.weights();
+        self.leader_flags
+            .iter()
+            .zip(weights)
+            .map(|(&flag, &w)| i64::from(flag) * w as i64)
+            .sum()
     }
 
     /// Runs until `predicate` holds (checked every `batch` steps, starting
@@ -1376,70 +1356,6 @@ impl<P: LeaderElection, R: Rng64> CountSimulation<P, R> {
         });
     }
 
-    /// Like [`run_chunk`](Self::run_chunk), but additionally folds each
-    /// interaction's cached `leader_delta` into `leaders`, stopping the
-    /// moment the count hits exactly 1. Returns `true` on that hit, with
-    /// [`steps`](Self::steps) exact.
-    fn leader_chunk(&mut self, max: u64, leaders: &mut i64) -> bool {
-        let mut pending = None;
-        let mut done = 0u64;
-        let mut count = *leaders;
-        let mut hit = false;
-        {
-            let Self {
-                sampler,
-                rng,
-                pairs,
-                support,
-                ..
-            } = self;
-            let mut sup = *support;
-            while done < max {
-                let Ok((s, t)) = sampler.sample_pair_distinct(rng) else {
-                    debug_assert!(false, "population has >= 2 agents");
-                    break;
-                };
-                let entry = pairs.get(s, t);
-                if entry == compiled::EMPTY {
-                    pending = Some((s, t));
-                    break;
-                }
-                let (a, b, delta, _) = compiled::unpack(entry);
-                let (Ok(e1), Ok(e2)) = (sampler.transfer(s, a), sampler.transfer(t, b)) else {
-                    debug_assert!(false, "interned slots exist");
-                    break;
-                };
-                sup = sup + usize::from(e1.populated) + usize::from(e2.populated)
-                    - usize::from(e1.emptied)
-                    - usize::from(e2.emptied);
-                done += 1;
-                if delta != 0 {
-                    count += i64::from(delta);
-                    if count == 1 {
-                        hit = true;
-                        break;
-                    }
-                }
-            }
-            *support = sup;
-        }
-        self.steps += done;
-        if let Some((s, t)) = pending {
-            if !hit {
-                self.steps += 1;
-                let (a, b, delta, _) = self.compile_pair(s, t);
-                self.move_agent(s, a);
-                self.move_agent(t, b);
-                if delta != 0 {
-                    count += i64::from(delta);
-                    hit = count == 1;
-                }
-            }
-        }
-        *leaders = count;
-        hit
-    }
-
     /// Runs until exactly one leader remains (see
     /// [`Simulation::run_until_single_leader`](crate::Simulation::run_until_single_leader)
     /// for the stabilization-time caveat).
@@ -1459,86 +1375,15 @@ impl<P: LeaderElection, R: Rng64> CountSimulation<P, R> {
             // Initial trajectory sample (covers the entry configuration).
             self.sample_trajectory(leaders, true);
         }
-        loop {
-            if leaders == 1 || self.steps >= max_steps {
-                if watched {
-                    // Final sample: the trace's last row always matches the
-                    // reported outcome, grid-aligned or not.
-                    self.sample_trajectory(leaders, true);
-                }
-                return RunOutcome {
-                    steps: self.steps,
-                    converged: leaders == 1,
-                };
-            }
-            let before = if watched {
-                Some(self.active_tier())
-            } else {
-                None
-            };
-            self.review_tiers();
-            if let Some(from) = before {
-                self.observe_transition(from);
-            }
-            if self.tiers.jump.engaged {
-                // Null interactions cannot change the leader count, so the
-                // telescoped run needs no bookkeeping; the episode's one
-                // executed interaction reports its cached delta and the step
-                // counter stays exact at the moment the count hits 1.
-                let t0 = if watched { Some(Instant::now()) } else { None };
-                let (consumed, delta) = self.jump_episode(max_steps - self.steps);
-                self.tiers.usage.note(EngineTier::Jump, consumed);
-                leaders += i64::from(delta);
-                if let Some(t0) = t0 {
-                    self.note_time(EngineTier::Jump, consumed, t0);
-                    self.observe_transition(EngineTier::Jump);
-                    self.sample_trajectory(leaders, false);
-                }
-                continue;
-            }
-            if self.tiers.batch.engaged {
-                let t0 = if watched { Some(Instant::now()) } else { None };
-                let (consumed, hit) =
-                    self.batch_episode(max_steps - self.steps, Some(&mut leaders));
-                self.tiers.usage.note(EngineTier::Batch, consumed);
-                debug_assert_eq!(hit, leaders == 1);
-                // Sampled invariant check: once per round, not per step.
-                debug_assert_eq!(leaders, self.leader_count() as i64);
-                if let Some(t0) = t0 {
-                    self.note_time(EngineTier::Batch, consumed, t0);
-                    self.sample_trajectory(leaders, false);
-                }
-                continue;
-            }
-            let burst = CONVERGENCE_BATCH
-                .min(max_steps - self.steps)
-                .min(self.tiers.review_at.saturating_sub(self.steps))
-                .min(self.sample_window())
-                .max(1);
-            let t0 = if watched { Some(Instant::now()) } else { None };
-            let from = self.steps;
-            let hit = self.leader_chunk(burst, &mut leaders);
-            let tier = if self.pairs.is_active() {
-                EngineTier::Compiled
-            } else {
-                EngineTier::Reference
-            };
-            self.tiers.usage.note(tier, self.steps - from);
-            if let Some(t0) = t0 {
-                self.note_time(tier, self.steps - from, t0);
-                self.sample_trajectory(leaders, false);
-            }
-            if hit {
-                if watched {
-                    self.sample_trajectory(leaders, true);
-                }
-                return RunOutcome {
-                    steps: self.steps,
-                    converged: true,
-                };
-            }
-            // Sampled invariant check: once per batch, not per step.
-            debug_assert_eq!(leaders, self.leader_count() as i64);
+        self.dispatch(max_steps, Some(&mut leaders));
+        if watched {
+            // Final sample: the trace's last row always matches the
+            // reported outcome, grid-aligned or not.
+            self.sample_trajectory(leaders, true);
+        }
+        RunOutcome {
+            steps: self.steps,
+            converged: leaders == 1,
         }
     }
 }
@@ -1571,16 +1416,6 @@ where
     /// modified.
     pub fn snapshot(&mut self) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
-
-        w.begin_section(snapshot::TAG_CONFIG);
-        let c = &self.tiers.config;
-        w.put_u64(c.max_compiled_states as u64);
-        w.put_u64(c.jump_engage_factor);
-        w.put_u64(c.jump_exit_factor);
-        w.put_u64(c.batch_support_divisor);
-        w.put_u64(c.batch_min_population);
-        w.put_bool(c.compaction);
-        w.end_section();
 
         w.begin_section(snapshot::TAG_POPULATION);
         w.put_u64(self.n);
@@ -1694,18 +1529,6 @@ where
         use SnapshotError::Corrupt;
         let mut r = SnapshotReader::open(bytes)?;
 
-        let mut sec = r.section(snapshot::TAG_CONFIG)?;
-        let config = EngineConfig {
-            max_compiled_states: usize::try_from(sec.get_u64()?)
-                .map_err(|_| Corrupt("compiled-state cap overflows usize"))?,
-            jump_engage_factor: sec.get_u64()?,
-            jump_exit_factor: sec.get_u64()?,
-            batch_support_divisor: sec.get_u64()?,
-            batch_min_population: sec.get_u64()?,
-            compaction: sec.get_bool()?,
-        };
-        sec.expect_end("config section has trailing bytes")?;
-
         let mut sec = r.section(snapshot::TAG_POPULATION)?;
         let n = sec.get_u64()?;
         let steps = sec.get_u64()?;
@@ -1794,11 +1617,7 @@ where
             }
         }
 
-        let mut tiers = TierController::new(config);
-        if tiers.config != config {
-            // The writer only serializes already-validated configs.
-            return Err(Corrupt("engine config outside its valid range"));
-        }
+        let mut tiers = TierController::new();
         tiers.review_at = review_at;
         (tiers.jump.enabled, tiers.jump.engaged, tiers.jump.forced) = jump_flags;
         tiers.jump.stats = jump_stats;
@@ -1806,14 +1625,8 @@ where
         tiers.batch.stats = batch_stats;
         tiers.usage = usage;
 
-        let pairs = PairCache::restore(
-            config.max_compiled_states,
-            cache_active,
-            shift,
-            has_table,
-            &entries,
-        )
-        .ok_or(Corrupt("pair-cache table is inconsistent"))?;
+        let pairs = PairCache::restore(cache_active, shift, has_table, &entries)
+            .ok_or(Corrupt("pair-cache table is inconsistent"))?;
 
         let mut ids = HashMap::new();
         for (slot, state) in states.iter().enumerate() {
@@ -2070,7 +1883,7 @@ mod tests {
         // long per-step run blows past the addressable-id cap. The cache
         // must *saturate* (stay active, stop covering new ids) with no
         // behavioral difference vs. an uncached twin. Single steps never
-        // compact (reviews run only in the batched drivers), so the interned
+        // compact (reviews run only in the dispatch loop), so the interned
         // count genuinely exceeds the cap here.
         let mut cached = CountSimulation::new(Counter, 2, rng(12)).unwrap();
         let mut reference = CountSimulation::new(Counter, 2, rng(12)).unwrap();
@@ -2170,7 +1983,7 @@ mod tests {
             assert_eq!(total, 256);
             assert_eq!(sim.support_size(), sim.state_counts().len());
         }
-        let stats = sim.batch_stats();
+        let stats = sim.metrics().batch;
         assert!(stats.episodes > 0);
         assert!(stats.bulk_interactions > 0);
         assert_eq!(
@@ -2188,7 +2001,7 @@ mod tests {
             assert!(out.converged);
             assert_eq!(sim.leader_count(), 1);
             assert_eq!(sim.steps(), out.steps);
-            assert!(sim.batch_stats().exact_walks > 0, "tail must walk");
+            assert!(sim.metrics().batch.exact_walks > 0, "tail must walk");
         }
     }
 
@@ -2204,43 +2017,15 @@ mod tests {
             sim.active_tier(),
             EngineTier::Batch | EngineTier::Jump
         ));
-        assert!(sim.batch_stats().episodes > 0);
+        assert!(sim.metrics().batch.episodes > 0);
     }
 
     #[test]
     fn batch_never_engages_below_population_floor() {
         let mut sim = CountSimulation::new(Frat, 200, rng(18)).unwrap();
         sim.run(50_000);
-        assert_eq!(sim.batch_stats().episodes, 0);
+        assert_eq!(sim.metrics().batch.episodes, 0);
         assert!(!sim.batch_engaged());
-    }
-
-    #[test]
-    fn config_is_validated_and_tunable() {
-        let config = EngineConfig {
-            max_compiled_states: usize::MAX,
-            batch_min_population: 0,
-            ..EngineConfig::default()
-        };
-        let sim = CountSimulation::with_config(Frat, 64, rng(19), config).unwrap();
-        assert_eq!(
-            sim.config().max_compiled_states,
-            compiled::MAX_COMPILED_STATES
-        );
-        assert_eq!(sim.config().batch_min_population, 2);
-        // A lowered population floor lets batch engage at n = 64.
-        let mut sim = CountSimulation::with_config(
-            Frat,
-            64,
-            rng(20),
-            EngineConfig {
-                batch_min_population: 2,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
-        sim.run(4096);
-        assert!(sim.batch_stats().episodes > 0, "floor tuned away");
     }
 
     #[test]
@@ -2251,9 +2036,9 @@ mod tests {
         sim.set_batch_tier(false);
         assert!(!sim.batch_engaged());
         assert!(!sim.batch_tier_enabled());
-        let before = sim.batch_stats().episodes;
+        let before = sim.metrics().batch.episodes;
         sim.run(1 << 12);
-        assert_eq!(sim.batch_stats().episodes, before);
+        assert_eq!(sim.metrics().batch.episodes, before);
     }
 
     /// Snapshots `sim`, resumes from the bytes, and drives the resumed copy
@@ -2317,7 +2102,7 @@ mod tests {
         sim.force_jump_mode();
         sim.run(20_000);
         assert_eq!(sim.active_tier(), EngineTier::Jump);
-        assert!(sim.jump_stats().skipped > 0);
+        assert!(sim.metrics().jump.skipped > 0);
         assert_transparent_pause(Frat, &sim);
     }
 
@@ -2327,7 +2112,7 @@ mod tests {
         sim.force_batch_mode();
         sim.run(20_000);
         assert_eq!(sim.active_tier(), EngineTier::Batch);
-        assert!(sim.batch_stats().episodes > 0);
+        assert!(sim.metrics().batch.episodes > 0);
         assert_transparent_pause(Frat, &sim);
     }
 
@@ -2392,46 +2177,97 @@ mod tests {
         }
     }
 
-    #[test]
-    fn snapshot_format_canary() {
-        // Golden hash of a fully deterministic snapshot. If this test fails,
-        // the on-disk format changed: bump `SNAPSHOT_VERSION` in snapshot.rs
-        // (old snapshots become unreadable by design) and re-pin the hash.
+    /// Rebuilds the byte layout an older format `version` (3 or 4) had for
+    /// the same execution as `bytes` (current format). Versions 1–4 opened
+    /// with a config section (tag 1): the compiled-state cap, four tier
+    /// thresholds and the compaction flag, at their only values since; v3
+    /// appended a round-law byte to it. Re-stamps the version and re-seals
+    /// the checksum, so only the version check can refuse the result.
+    fn legacy_layout(bytes: &[u8], version: u32) -> Vec<u8> {
+        let mut config = Vec::new();
+        for knob in [4096u64, 8, 4, 3, 4096] {
+            config.extend_from_slice(&knob.to_le_bytes());
+        }
+        config.push(1);
+        if version == 3 {
+            config.push(1);
+        }
+        let header = snapshot::MAGIC.len() + 4;
+        let mut out = bytes[..header].to_vec();
+        out[snapshot::MAGIC.len()..].copy_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&1u16.to_le_bytes());
+        out.extend_from_slice(&(config.len() as u64).to_le_bytes());
+        out.extend_from_slice(&config);
+        out.extend_from_slice(&bytes[header..bytes.len() - 8]);
+        let sum = snapshot::fnv1a64(&out).to_le_bytes();
+        out.extend_from_slice(&sum);
+        out
+    }
+
+    /// The execution whose snapshot bytes the format canary pins.
+    fn canary_snapshot() -> Vec<u8> {
         let mut sim = CountSimulation::new(Frat, 256, rng(42)).unwrap();
         sim.run(1_000);
-        let hash = crate::snapshot::fnv1a64(&sim.snapshot());
-        const GOLDEN: u64 = 0x39da_af37_e815_a636;
-        assert!(
-            hash == GOLDEN || crate::snapshot::SNAPSHOT_VERSION > 4,
-            "snapshot bytes changed under version 4 (hash {hash:#018x}); \
-             bump SNAPSHOT_VERSION and update GOLDEN"
+        sim.snapshot()
+    }
+
+    #[test]
+    fn snapshot_format_canary() {
+        // Golden hash of a fully deterministic snapshot, pinned together
+        // with the format version that writes it. If the bytes change, bump
+        // `SNAPSHOT_VERSION` in snapshot.rs (old snapshots become unreadable
+        // by design) and re-pin both constants; a bump alone fails too, so
+        // every version has its own pinned bytes.
+        const PINNED_VERSION: u32 = 5;
+        const GOLDEN: u64 = 0x7222_0b2e_8af6_a914;
+        assert_eq!(
+            crate::snapshot::SNAPSHOT_VERSION,
+            PINNED_VERSION,
+            "SNAPSHOT_VERSION changed: re-pin GOLDEN and PINNED_VERSION"
+        );
+        let hash = crate::snapshot::fnv1a64(&canary_snapshot());
+        assert_eq!(
+            hash, GOLDEN,
+            "snapshot bytes changed under version {PINNED_VERSION} (hash {hash:#018x}); \
+             bump SNAPSHOT_VERSION and re-pin GOLDEN"
         );
     }
 
     #[test]
     fn v3_snapshot_is_refused_with_unsupported_version() {
-        // Version 3 carried a round-law byte after the compaction flag.
-        // Rebuild that layout from a v4 snapshot — insert the byte, grow
-        // the config section, stamp version 3, re-checksum — and require
-        // the typed version error rather than a misread or corruption.
+        // Version 3 carried a round-law byte after the compaction flag; the
+        // typed version error must fire rather than a misread or corruption.
         let mut sim = CountSimulation::new(Frat, 4096, rng(3)).unwrap();
         sim.force_batch_mode();
         sim.run(10_000);
-        let mut bytes = sim.snapshot();
-        // Magic, version, then the config section: tag, length, five u64
-        // knobs and the compaction flag.
-        let len_at = 8 + 4 + 2;
-        let law_at = len_at + 8 + 5 * 8 + 1;
-        let len = u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap());
-        bytes[len_at..len_at + 8].copy_from_slice(&(len + 1).to_le_bytes());
-        bytes.insert(law_at, 1);
-        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
-        let body = bytes.len() - 8;
-        let sum = snapshot::fnv1a64(&bytes[..body]).to_le_bytes();
-        bytes[body..].copy_from_slice(&sum);
+        let bytes = legacy_layout(&sim.snapshot(), 3);
         match CountSimulation::<Frat, Xoshiro256PlusPlus>::resume(Frat, &bytes) {
             Err(e) => assert_eq!(e, SnapshotError::UnsupportedVersion { found: 3 }),
             Ok(_) => panic!("a v3 snapshot must not resume"),
         }
+    }
+
+    #[test]
+    fn v4_snapshot_is_refused_with_unsupported_version() {
+        let bytes = legacy_layout(&canary_snapshot(), 4);
+        // Version 4's pinned canary hash: the rebuilt layout is byte for
+        // byte what version 4 wrote for this execution.
+        assert_eq!(snapshot::fnv1a64(&bytes), 0x39da_af37_e815_a636);
+        match CountSimulation::<Frat, Xoshiro256PlusPlus>::resume(Frat, &bytes) {
+            Err(e) => assert_eq!(e, SnapshotError::UnsupportedVersion { found: 4 }),
+            Ok(_) => panic!("a v4 snapshot must not resume"),
+        }
+        // Its config section is no section of version 5: a v4 body stamped
+        // as the current version is corrupt, not misread.
+        let mut stamped = bytes;
+        stamped[snapshot::MAGIC.len()..snapshot::MAGIC.len() + 4]
+            .copy_from_slice(&snapshot::SNAPSHOT_VERSION.to_le_bytes());
+        let body = stamped.len() - 8;
+        let sum = snapshot::fnv1a64(&stamped[..body]).to_le_bytes();
+        stamped[body..].copy_from_slice(&sum);
+        assert!(matches!(
+            CountSimulation::<Frat, Xoshiro256PlusPlus>::resume(Frat, &stamped),
+            Err(SnapshotError::Corrupt(_))
+        ));
     }
 }

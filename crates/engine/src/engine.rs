@@ -163,21 +163,6 @@ impl<P: Protocol, S: Scheduler> Simulation<P, S> {
         }
     }
 
-    /// Alias of [`run_until`](Self::run_until) named for its batching
-    /// behavior: `predicate` is only evaluated at `batch`-step boundaries,
-    /// keeping the per-step path free of convergence bookkeeping. Mirrors
-    /// [`CountSimulation::run_batched`](crate::CountSimulation::run_batched).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0`.
-    pub fn run_batched<F>(&mut self, batch: u64, max_steps: u64, predicate: F) -> RunOutcome
-    where
-        F: FnMut(&Self) -> bool,
-    {
-        self.run_until(batch, max_steps, predicate)
-    }
-
     /// Runs `steps` interactions, invoking `observer` every `sample_every`
     /// steps (and once at the end) with the current step count and states.
     ///
@@ -415,16 +400,6 @@ mod tests {
         let outcome = sim.run_until(10, 1_000_000, |sim| sim.leader_count() <= 5);
         assert!(outcome.converged);
         assert!(sim.leader_count() <= 5);
-    }
-
-    #[test]
-    fn run_batched_mirrors_run_until() {
-        let mut a = Simulation::new(Frat, 20, UniformScheduler::seed_from_u64(7)).unwrap();
-        let mut b = Simulation::new(Frat, 20, UniformScheduler::seed_from_u64(7)).unwrap();
-        let oa = a.run_until(10, 1_000_000, |sim| sim.leader_count() <= 5);
-        let ob = b.run_batched(10, 1_000_000, |sim| sim.leader_count() <= 5);
-        assert_eq!(oa, ob);
-        assert_eq!(a.states(), b.states());
     }
 
     #[test]

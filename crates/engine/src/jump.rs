@@ -54,9 +54,8 @@
 //!
 //! The engine engages the scheduler only when skipping pays: tier reviews
 //! rebuild the ledger and compare
-//! `W_active · jump_engage_factor ≤ W_total` (default factor 8, i.e. an
-//! expected skip of ≥ 8 interactions per episode), with hysteresis on exit —
-//! both factors are [`EngineConfig`](crate::EngineConfig) fields. See
+//! `W_active · 8 ≤ W_total` (an expected skip of ≥ 8 interactions per
+//! episode), with hysteresis on exit at `W_active · 4 > W_total`. See
 //! [`CountSimulation::set_jump_scheduler`](crate::CountSimulation::set_jump_scheduler)
 //! for the engine-level contract; an engaged scheduler preempts the batch
 //! tier in dispatch, since a null-dominated configuration telescopes in

@@ -13,8 +13,7 @@
 //!   interactions and wall time in a monotonic-clock [`TierTimeline`], and
 //!   optionally samples a [`TrajectorySampler`] trace.
 //! * [`EngineMetrics`] — one unified snapshot of everything the engine can
-//!   report (superseding the `jump_stats()`/`batch_stats()` split, which
-//!   remain as thin shims), serializable to JSON by hand (this workspace
+//!   report, serializable to JSON by hand (this workspace
 //!   takes no serde dependency) and parseable back for round-trip checks.
 //! * A JSONL event-log encoding — one [`EngineEvent`] per line via
 //!   [`EngineEvent::to_json_line`] / [`EngineEvent::parse_json_line`].
@@ -247,8 +246,7 @@ impl EngineEvent {
         }
     }
 
-    /// Parses one JSON line produced by [`to_json_line`]
-    /// (Self::to_json_line); `None` on any malformation. Together they form
+    /// Parses one JSON line produced by [`to_json_line`](Self::to_json_line); `None` on any malformation. Together they form
     /// the round-trip the schema tests pin.
     pub fn parse_json_line(line: &str) -> Option<Self> {
         let kind = scan_str(line, "\"event\"")?;
@@ -434,12 +432,11 @@ impl TrajectorySampler {
 /// [`EngineEvent`]s up to a capacity, accounts a [`TierTimeline`], and
 /// optionally drives a [`TrajectorySampler`].
 ///
-/// Attach with [`CountSimulation::set_observer`]
-/// (crate::CountSimulation::set_observer),
-/// read through [`CountSimulation::observer`]
-/// (crate::CountSimulation::observer), detach with
-/// [`CountSimulation::take_observer`]
-/// (crate::CountSimulation::take_observer).
+/// Attach with
+/// [`CountSimulation::set_observer`](crate::CountSimulation::set_observer),
+/// read through [`CountSimulation::observer`](crate::CountSimulation::observer),
+/// detach with
+/// [`CountSimulation::take_observer`](crate::CountSimulation::take_observer).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineObserver {
     events: Vec<EngineEvent>,
@@ -543,8 +540,7 @@ impl EngineObserver {
 }
 
 /// One unified metrics snapshot of a count simulation: population,
-/// progress, tier usage, and the per-tier stats the engine previously
-/// reported only through `jump_stats()` / `batch_stats()`. Obtained from
+/// progress, tier usage, and the jump and batch tiers' counters. Obtained from
 /// [`CountSimulation::metrics`](crate::CountSimulation::metrics); always
 /// available — the observer-only extras (event counts, timeline) are
 /// populated when an observer is attached.

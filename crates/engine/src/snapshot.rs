@@ -57,14 +57,15 @@ use std::fmt;
 /// the per-tier interaction usage counters to the tier section so resumed
 /// runs keep attributing past work in [`metrics`](crate::CountSimulation::metrics).
 /// Version 4 dropped the round-law byte from the config section: the batch
-/// tier has one round.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// tier has one round. Version 5 dropped the config section (tag 1): the
+/// tier thresholds and the cache cap are constants of the engine.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// 8-byte magic prefix identifying count-engine snapshots.
 pub(crate) const MAGIC: [u8; 8] = *b"PPENGSNP";
 
-/// Section tags, in the order sections appear in the buffer.
-pub(crate) const TAG_CONFIG: u16 = 1;
+/// Section tags, in the order sections appear in the buffer. Tag 1 was the
+/// config section of versions 1–4.
 pub(crate) const TAG_POPULATION: u16 = 2;
 pub(crate) const TAG_CACHE: u16 = 3;
 pub(crate) const TAG_TIERS: u16 = 4;
@@ -390,25 +391,25 @@ mod tests {
     #[test]
     fn writer_reader_roundtrip() {
         let mut w = SnapshotWriter::new();
-        w.begin_section(TAG_CONFIG);
+        w.begin_section(TAG_POPULATION);
         w.put_u64(99);
         w.put_bool(true);
         w.end_section();
-        w.begin_section(TAG_POPULATION);
+        w.begin_section(TAG_CACHE);
         w.put_u16(7);
         w.put_u32(1234);
         w.end_section();
         let bytes = w.finish();
 
         let mut r = SnapshotReader::open(&bytes).unwrap();
-        let mut s1 = r.section(TAG_CONFIG).unwrap();
+        let mut s1 = r.section(TAG_POPULATION).unwrap();
         assert_eq!(s1.get_u64().unwrap(), 99);
         assert!(s1.get_bool().unwrap());
-        s1.expect_end("config").unwrap();
-        let mut s2 = r.section(TAG_POPULATION).unwrap();
+        s1.expect_end("population").unwrap();
+        let mut s2 = r.section(TAG_CACHE).unwrap();
         assert_eq!(s2.get_u16().unwrap(), 7);
         assert_eq!(s2.get_u32().unwrap(), 1234);
-        s2.expect_end("population").unwrap();
+        s2.expect_end("cache").unwrap();
         r.expect_end("snapshot").unwrap();
     }
 
@@ -494,7 +495,7 @@ mod tests {
         let bytes = w.finish();
         let mut r = SnapshotReader::open(&bytes).unwrap();
         assert!(matches!(
-            r.section(TAG_CONFIG).unwrap_err(),
+            r.section(TAG_POPULATION).unwrap_err(),
             SnapshotError::Corrupt(_)
         ));
     }

@@ -8,114 +8,49 @@
 //! |------|-----------|----------------------|-----------|
 //! | [`Reference`](EngineTier::Reference) | hash + clone + `transition` per step | `O(1)`, large constant | cache disabled (oracle baseline) |
 //! | [`Compiled`](EngineTier::Compiled) | [pair cache](crate::compiled) + fused tree descents | ~100 cycles | dense transitions, large live support |
-//! | [`Jump`](EngineTier::Jump) | [null-run telescoping](crate::jump) | `O(1)` per *episode* | known-null pairs ≥ `1 − 1/engage_factor` of scheduler weight |
-//! | [`Batch`](EngineTier::Batch) | [hypergeometric rounds](crate::batch) | `O((k + √n)/√n)` amortized | small live support `k`, any null density |
+//! | [`Jump`](EngineTier::Jump) | null-run telescoping | `O(1)` per *episode* | known-null pairs ≥ 7/8 of scheduler weight |
+//! | [`Batch`](EngineTier::Batch) | hypergeometric rounds | `O((k + √n)/√n)` amortized | small live support `k`, any null density |
 //!
 //! The tiers are selected *per workload phase*, not per simulation: reviews
-//! at batch boundaries re-run the engage/disengage heuristics against the
+//! at dispatch boundaries re-run the engage/disengage heuristics against the
 //! current configuration (null weight for the jump tier, live support for
 //! the batch tier), with hysteresis so the engine never flaps around a
-//! threshold. The thresholds live in [`EngineConfig`] — promoted from
-//! hard-coded constants precisely so parameter sweeps can tune them.
+//! threshold. The thresholds are the constants below; they have no runtime
+//! knob, so every engine, snapshot and sweep runs the same rules.
 //!
-//! This module owns the dispatch state ([`TierController`]) and the pure
-//! decision rules; the episode/chunk execution lives in
-//! [`count_engine`](crate::CountSimulation) and [`crate::batch`].
+//! This module owns the dispatch state (the crate-private tier controller)
+//! and the pure decision rules; the episode/chunk execution lives in
+//! [`CountSimulation`](crate::CountSimulation)'s one dispatch loop.
 
 use crate::batch::BatchState;
-use crate::compiled;
 use crate::jump::NullLedger;
 
-/// Tuning knobs of the count engine's tier heuristics.
-///
-/// The defaults reproduce the engine's historical behavior exactly; every
-/// field is a promoted former hard-coded constant. Construct with struct
-/// update syntax from [`EngineConfig::default()`] and pass to
-/// [`CountSimulation::with_config`](crate::CountSimulation::with_config):
-///
-/// ```
-/// use pp_engine::EngineConfig;
-///
-/// let config = EngineConfig {
-///     jump_engage_factor: 16, // engage jumping only at ≥ 15/16 null weight
-///     ..EngineConfig::default()
-/// };
-/// assert_eq!(config.max_compiled_states, 4096);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Cap on state ids addressable by the compiled pair cache (historically
-    /// the hard-coded `MAX_COMPILED_STATES = 4096`, still the default and
-    /// the hard ceiling — the packed entries carry 12-bit ids). Validation
-    /// rounds the cap up to a power of two, because the dense table's
-    /// stride is one (the rounded value is what [`config`]
-    /// (crate::CountSimulation::config) reports). Beyond the cap the cache
-    /// *saturates*: higher ids fall back to per-encounter transitions until
-    /// [state-id compaction](crate::CountSimulation) frees ids. The dense
-    /// table costs `4·cap²` bytes worst case, grown lazily.
-    pub max_compiled_states: usize,
-    /// The jump scheduler engages when
-    /// `W_active · jump_engage_factor ≤ W_total`, i.e. when known-null pairs
-    /// carry at least `1 − 1/factor` of the scheduler weight (default 8 —
-    /// the historical 7/8 threshold) so each episode is expected to
-    /// telescope at least `factor` raw interactions.
-    pub jump_engage_factor: u64,
-    /// Hysteresis: an engaged jump scheduler disengages only once
-    /// `W_active · jump_exit_factor > W_total` (default 4), so the engine
-    /// does not flap around the engagement boundary.
-    pub jump_exit_factor: u64,
-    /// The batch tier engages when
-    /// `support · batch_support_divisor ≤ E[collision-free run]` (default 3):
-    /// a batch round costs `O(support)` hypergeometric draws plus `O(run)`
-    /// cheap per-slot work, so it beats the compiled tier only while the
-    /// live support is a fraction of the expected `Θ(√n)` round length.
-    /// Disengages (with a factor-2 hysteresis band) when the support grows
-    /// past `2×` the engage threshold.
-    pub batch_support_divisor: u64,
-    /// Populations below this never engage the batch tier (default 4096):
-    /// collision-free runs of `E ≈ 0.62·√n` steps are too short to amortize
-    /// a round's set-up below it.
-    pub batch_min_population: u64,
-    /// Whether tier reviews may compact state ids — reassigning the ids of
-    /// permanently-dead states (largest live counts first) so
-    /// state-unbounded protocols keep the compiled cache, the jump
-    /// scheduler, and the batch tier available (default `true`).
-    pub compaction: bool,
-}
+/// The jump scheduler engages when `W_active · JUMP_ENGAGE_FACTOR ≤ W_total`,
+/// i.e. when known-null pairs carry at least 7/8 of the scheduler weight, so
+/// each episode is expected to telescope at least 8 raw interactions.
+const JUMP_ENGAGE_FACTOR: u64 = 8;
 
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            max_compiled_states: compiled::MAX_COMPILED_STATES,
-            jump_engage_factor: 8,
-            jump_exit_factor: 4,
-            batch_support_divisor: 3,
-            batch_min_population: 4096,
-            compaction: true,
-        }
-    }
-}
+/// Hysteresis: an engaged jump scheduler disengages only once
+/// `W_active · JUMP_EXIT_FACTOR > W_total`, so the engine does not flap
+/// around the engagement boundary.
+const JUMP_EXIT_FACTOR: u64 = 4;
 
-impl EngineConfig {
-    /// Clamps every field into its valid range (the engine applies this at
-    /// construction, so out-of-range sweeps degrade gracefully).
-    pub(crate) fn validated(mut self) -> Self {
-        // Power of two: the pair table addresses ids by stride, so that is
-        // the granularity at which the cap can take effect.
-        self.max_compiled_states = self
-            .max_compiled_states
-            .clamp(1, compiled::MAX_COMPILED_STATES)
-            .next_power_of_two();
-        self.jump_engage_factor = self.jump_engage_factor.max(2);
-        self.jump_exit_factor = self.jump_exit_factor.clamp(1, self.jump_engage_factor);
-        self.batch_support_divisor = self.batch_support_divisor.max(1);
-        self.batch_min_population = self.batch_min_population.max(2);
-        self
-    }
-}
+/// The batch tier engages when
+/// `support · BATCH_SUPPORT_DIVISOR ≤ E[collision-free run]`: a batch round
+/// costs `O(support)` hypergeometric draws plus `O(run)` cheap per-slot
+/// work, so it beats the compiled tier only while the live support is a
+/// fraction of the expected `Θ(√n)` round length.
+const BATCH_SUPPORT_DIVISOR: u64 = 3;
 
-/// The execution tier the count engine is currently dispatching to (see the
-/// [module docs](self) for the selection rules).
+/// Populations below this never engage the batch tier: collision-free runs
+/// of `E ≈ 0.62·√n` steps are too short to amortize a round's set-up below
+/// it.
+const BATCH_MIN_POPULATION: u64 = 4096;
+
+/// The execution tier the count engine is currently dispatching to: jump
+/// while known-null pairs carry at least 7/8 of the scheduler weight, else
+/// batch while the live support is small against `√n`, else compiled (or
+/// reference with the pair cache off).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineTier {
     /// Uncached per-step fallback: hash, clone, and call
@@ -140,8 +75,8 @@ impl std::fmt::Display for EngineTier {
     }
 }
 
-/// Throughput counters of the jump scheduler (see
-/// [`CountSimulation::jump_stats`](crate::CountSimulation::jump_stats)).
+/// Throughput counters of the jump scheduler (field `jump` of
+/// [`CountSimulation::metrics`](crate::CountSimulation::metrics)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JumpStats {
     /// Jump episodes executed (each ends in one real interaction).
@@ -212,12 +147,10 @@ impl JumpState {
     }
 }
 
-/// The dispatch state shared by all of the count engine's batched drivers:
-/// tier configuration, per-tier engage state, and the step count of the next
-/// heuristic review.
+/// The count engine's dispatch state: per-tier engage state and the step
+/// count of the next heuristic review.
 #[derive(Debug, Clone)]
 pub(crate) struct TierController {
-    pub config: EngineConfig,
     pub jump: JumpState,
     pub batch: BatchState,
     /// Step count at which the next tier review (jump probe, batch
@@ -228,9 +161,8 @@ pub(crate) struct TierController {
 }
 
 impl TierController {
-    pub(crate) fn new(config: EngineConfig) -> Self {
+    pub(crate) fn new() -> Self {
         Self {
-            config: config.validated(),
             jump: JumpState::new(),
             batch: BatchState::new(),
             review_at: 0,
@@ -266,20 +198,27 @@ fn isqrt(n: u64) -> u64 {
 /// never engage and execution stays per-step.
 pub(crate) const BATCH_MAX_POPULATION: u64 = u32::MAX as u64;
 
-/// Batch-tier engage rule (see [`EngineConfig::batch_support_divisor`]).
-pub(crate) fn batch_engages(support: usize, n: u64, config: &EngineConfig) -> bool {
-    n >= config.batch_min_population
-        && n <= BATCH_MAX_POPULATION
-        && (support as u64).saturating_mul(config.batch_support_divisor) <= expected_run_length(n)
+/// Jump engage rule (see [`JUMP_ENGAGE_FACTOR`]).
+pub(crate) fn jump_engages(w_active: u64, w_total: u64) -> bool {
+    w_active.saturating_mul(JUMP_ENGAGE_FACTOR) <= w_total
+}
+
+/// Jump exit rule (see [`JUMP_EXIT_FACTOR`]).
+pub(crate) fn jump_exits(w_active: u64, w_total: u64) -> bool {
+    w_active.saturating_mul(JUMP_EXIT_FACTOR) > w_total
+}
+
+/// Batch-tier engage rule (see [`BATCH_SUPPORT_DIVISOR`]).
+pub(crate) fn batch_engages(support: usize, n: u64) -> bool {
+    (BATCH_MIN_POPULATION..=BATCH_MAX_POPULATION).contains(&n)
+        && (support as u64).saturating_mul(BATCH_SUPPORT_DIVISOR) <= expected_run_length(n)
 }
 
 /// Batch-tier exit rule: the engage inequality failed by more than the
 /// factor-2 hysteresis band.
-pub(crate) fn batch_exits(support: usize, n: u64, config: &EngineConfig) -> bool {
-    n < config.batch_min_population
-        || n > BATCH_MAX_POPULATION
-        || (support as u64).saturating_mul(config.batch_support_divisor)
-            > 2 * expected_run_length(n)
+pub(crate) fn batch_exits(support: usize, n: u64) -> bool {
+    !(BATCH_MIN_POPULATION..=BATCH_MAX_POPULATION).contains(&n)
+        || (support as u64).saturating_mul(BATCH_SUPPORT_DIVISOR) > 2 * expected_run_length(n)
 }
 
 #[cfg(test)]
@@ -288,29 +227,24 @@ mod tests {
 
     #[test]
     fn default_config_matches_historical_constants() {
-        let c = EngineConfig::default();
-        assert_eq!(c.max_compiled_states, 4096);
-        assert_eq!(c.jump_engage_factor, 8);
-        assert_eq!(c.jump_exit_factor, 4);
-        assert!(c.compaction);
+        // Seeded outputs depend on every threshold: changing one changes
+        // which tier runs and so which draws are made.
+        assert_eq!(crate::compiled::MAX_COMPILED_STATES, 4096);
+        assert_eq!(JUMP_ENGAGE_FACTOR, 8);
+        assert_eq!(JUMP_EXIT_FACTOR, 4);
+        assert_eq!(BATCH_SUPPORT_DIVISOR, 3);
+        assert_eq!(BATCH_MIN_POPULATION, 4096);
     }
 
     #[test]
-    fn validation_clamps_out_of_range_fields() {
-        let c = EngineConfig {
-            max_compiled_states: 1 << 20,
-            jump_engage_factor: 0,
-            jump_exit_factor: 99,
-            batch_support_divisor: 0,
-            batch_min_population: 0,
-            compaction: false,
-        }
-        .validated();
-        assert_eq!(c.max_compiled_states, compiled::MAX_COMPILED_STATES);
-        assert_eq!(c.jump_engage_factor, 2);
-        assert_eq!(c.jump_exit_factor, 2, "exit cannot exceed engage");
-        assert_eq!(c.batch_support_divisor, 1);
-        assert_eq!(c.batch_min_population, 2);
+    fn jump_rules_have_hysteresis() {
+        let w_total = 800;
+        assert!(jump_engages(100, w_total)); // 100·8 = 800 ≤ 800
+        assert!(!jump_engages(101, w_total));
+        assert!(!jump_exits(101, w_total)); // inside the hysteresis band
+        assert!(!jump_exits(200, w_total)); // 200·4 = 800 ≤ 800
+        assert!(jump_exits(201, w_total));
+        assert!(!jump_engages(u64::MAX, u64::MAX - 1), "saturates");
     }
 
     #[test]
@@ -331,15 +265,14 @@ mod tests {
 
     #[test]
     fn batch_rules_have_hysteresis() {
-        let c = EngineConfig::default();
         let n = 1u64 << 20; // expected run 640
-        assert!(batch_engages(213, n, &c)); // 213·3 = 639 ≤ 640
-        assert!(!batch_engages(214, n, &c));
-        assert!(!batch_exits(214, n, &c)); // inside the hysteresis band
-        assert!(!batch_exits(426, n, &c)); // 426·3 = 1278 ≤ 1280
-        assert!(batch_exits(427, n, &c));
-        assert!(!batch_engages(2, 1024, &c), "below the population floor");
-        assert!(batch_exits(2, 1024, &c));
+        assert!(batch_engages(213, n)); // 213·3 = 639 ≤ 640
+        assert!(!batch_engages(214, n));
+        assert!(!batch_exits(214, n)); // inside the hysteresis band
+        assert!(!batch_exits(426, n)); // 426·3 = 1278 ≤ 1280
+        assert!(batch_exits(427, n));
+        assert!(!batch_engages(2, 1024), "below the population floor");
+        assert!(batch_exits(2, 1024));
     }
 
     #[test]

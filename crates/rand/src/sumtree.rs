@@ -36,8 +36,9 @@ pub struct TransferEffect {
 }
 
 /// Dynamic weighted sampler over integer weights, backed by a complete
-/// binary sum tree (see the [module docs](self) for the layout and why it
-/// beats the Fenwick layout on branch prediction).
+/// binary sum tree: node `k`'s children sit at `2k` and `2k + 1`, so every
+/// walk is a fixed `log₂ cap` iterations of branch-free arithmetic, where
+/// the Fenwick layout branches on data and mispredicts.
 ///
 /// # Example
 ///

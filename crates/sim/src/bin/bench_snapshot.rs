@@ -40,7 +40,7 @@ use std::process::{Command, Stdio};
 const PRE_PR_BASELINE_INT_PER_SEC: f64 = 4_784_688.995_215_311;
 const PRE_PR_BASELINE_SECS_PER_ITER: f64 = 0.000_209;
 
-/// Fratricide@2^20 simulated interactions per election (E[steps] ≈ n²·(1−1/n);
+/// Fratricide@2^20 simulated interactions per election (`E[steps] ≈ n²·(1−1/n)`;
 /// the value recorded from the instrumented PR-3 measurement runs).
 const ELECTION_SIM_INTERACTIONS: f64 = 6.121e11;
 

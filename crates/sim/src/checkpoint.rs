@@ -133,7 +133,8 @@ pub enum SweepStatus {
 /// completed bundle under `ckpt.dir` and resumes from whatever a previous
 /// invocation left there. The bundle width is [`crate::sweep_lane_width`].
 ///
-/// See the [module docs](self) for the determinism contract. The sweep
+/// A killed-then-resumed sweep aggregates into points bit-identical to an
+/// uninterrupted sweep with the same configuration. The sweep
 /// parameters — including the execution mode — are
 /// fingerprinted into the journal header; reusing a checkpoint directory
 /// with different parameters is an error (`InvalidData`), not a silent
@@ -596,6 +597,63 @@ mod tests {
             }
         };
         assert_points_bit_identical(&expected, &points);
+    }
+
+    /// Job 1's snapshot file of the fratricide sweep `[64] × 2` at master
+    /// seed 5 and snapshot interval 512, as format version 4 (with its
+    /// config section) wrote it at step 512.
+    const V4_JOB_SNAPSHOT: &str = concat!(
+        "5050454e47534e5004000000010029000000000000000010000000000000080000000000",
+        "00000400000000000000030000000000000000100000000000000102003a000000000000",
+        "0040000000000000000002000000000000f7010000000000000200000000000000010b00",
+        "000000000000003500000000000000000000000000000003002e00000000000000010104",
+        "00000004000000000000000000000000100001000001000010000a010000000100000a01",
+        "0001000110000a04006e000000000000000101000a000000000000007601000000000000",
+        "010000000000000000000000000000000000000000000000000000000000000000000000",
+        "000000000000000000000000000000000000000000000000000000000000008000000000",
+        "000000800100000000000000000000000000000500280000000000000004000000000000",
+        "00f6d8787e850adf41d27b1d0b31bbe3ed9aeaa26653db8118fc8dc443f7b90eca3e1d6c",
+        "ec796884dc",
+    );
+
+    #[test]
+    fn older_format_job_snapshot_is_refused_and_the_job_reruns() {
+        let bytes: Vec<u8> = (0..V4_JOB_SNAPSHOT.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&V4_JOB_SNAPSHOT[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(
+            CountSimulation::<Fratricide, pp_rand::Xoshiro256PlusPlus>::resume(Fratricide, &bytes)
+                .err(),
+            Some(pp_engine::SnapshotError::UnsupportedVersion { found: 4 })
+        );
+        let ns = [64usize];
+        let straight_dir = Scratch::new("v4_straight");
+        let mut straight = CheckpointConfig::new(&straight_dir.0);
+        straight.snapshot_interval = Some(512);
+        let SweepStatus::Complete {
+            points: expected, ..
+        } = sweep(&ns, 2, 5, &straight)
+        else {
+            panic!("no job limit: sweep must complete");
+        };
+        // The refused file leaves job 1 to rerun from step 0 under the same
+        // segment boundaries, so the table is the uninterrupted one.
+        let planted_dir = Scratch::new("v4_planted");
+        let mut planted = CheckpointConfig::new(&planted_dir.0);
+        planted.snapshot_interval = Some(512);
+        std::fs::create_dir_all(&planted_dir.0).unwrap();
+        let ckpt_path = job_snapshot_path(&planted_dir.0, 1);
+        std::fs::write(&ckpt_path, &bytes).unwrap();
+        let SweepStatus::Complete { points, fresh_jobs } = sweep(&ns, 2, 5, &planted) else {
+            panic!("no job limit: sweep must complete");
+        };
+        assert_eq!(fresh_jobs, 2);
+        assert_points_bit_identical(&expected, &points);
+        assert!(
+            !ckpt_path.exists(),
+            "the finished job's snapshot is removed"
+        );
     }
 
     #[test]

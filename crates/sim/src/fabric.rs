@@ -20,7 +20,7 @@
 //!
 //! A worker is the in-process sweep executor (`runner::execute`) with a
 //! claim hook and a journal. Work is claimed at **bundle** granularity
-//! ([`sweep_bundles`]' same-`n` blocks of jobs): when one of the worker's
+//! (same-`n` blocks of jobs): when one of the worker's
 //! threads frees up, the executor picks the next pending bundle and the
 //! hook atomically creates `claims/<start>.claim`; the bundle runs only on
 //! success, so shards never duplicate work — *dynamic range claiming*, not
@@ -43,7 +43,7 @@
 //! [`crate::stabilization_sweep`] traverses it, and [`Summary`] retains raw
 //! values so in-order accumulation is bit-exact. Sequential run, 1 shard,
 //! 40 shards, crashed-and-resumed shards: same bytes, same checksums
-//! ([`Summary::checksum`] is the witness surfaced in [`points_table`]). The
+//! ([`pp_stats::Summary::checksum`] is the witness surfaced in [`points_table`]). The
 //! bundle width only shapes the canonical journal's block markers; the
 //! points table is the same at every width.
 //!

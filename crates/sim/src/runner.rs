@@ -25,8 +25,8 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Hard cap on the `PP_SIM_THREADS` override (clamped, `EngineConfig`
-/// style, rather than erroring).
+/// Hard cap on the `PP_SIM_THREADS` override (clamped rather than
+/// erroring).
 const MAX_WORKERS: usize = 1024;
 
 /// Default jobs per bundle: the sweep fabric's claim granule and the
@@ -34,8 +34,8 @@ const MAX_WORKERS: usize = 1024;
 const DEFAULT_LANES: usize = 8;
 
 /// `PP_SIM_THREADS` resolution: a parseable override is clamped to
-/// `1..=MAX_WORKERS` (validation in the `EngineConfig::validated` style —
-/// out-of-range values clamp, they don't error); anything else falls back
+/// `1..=MAX_WORKERS` (out-of-range values clamp, they don't error);
+/// anything else falls back
 /// to the detected parallelism.
 fn worker_override(raw: Option<&str>, detected: usize) -> usize {
     match raw.and_then(|v| v.trim().parse::<usize>().ok()) {
@@ -330,7 +330,7 @@ pub struct SweepPoint {
 /// than silently reusing seed streams across sizes.
 ///
 /// Every run is one election on a fresh [`CountSimulation`]
-/// ([`run_election`]): an exact simulation of the uniformly random
+/// (`run_election`): an exact simulation of the uniformly random
 /// scheduler whose jump scheduler telescopes null-dominated tails (a
 /// fratricide sweep point at `n = 2^28` telescopes `~10^16` null
 /// interactions and completes in seconds), so the measured distribution is

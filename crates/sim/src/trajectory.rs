@@ -4,7 +4,7 @@
 //! `(n, seed, every)`:
 //!
 //! * [`pll_attribution_trajectory`] — the per-agent reference engine,
-//!   sampling the leader count **and** the cumulative per-[`Demotion`]
+//!   sampling the leader count **and** the cumulative per-[`Demotion`](pp_core::metrics::Demotion)
 //!   elimination counts every `every` interactions. This is the CSV behind
 //!   the `--trajectory` flag: the paper's three-mechanism cascade (status
 //!   assignment → `QuickElimination()` → `Tournament()`, with `BackUp()`

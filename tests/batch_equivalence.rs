@@ -15,10 +15,14 @@
 //! live support collapses.
 
 use population_protocols::core::Pll;
-use population_protocols::engine::{CountSimulation, EngineTier, LeaderElection};
-use population_protocols::protocols::{Fratricide, UnboundedLottery};
+use population_protocols::engine::{
+    CountSimulation, EngineEvent, EngineObserver, EngineTier, LeaderElection, Protocol, Role,
+};
+use population_protocols::protocols::{Fratricide, LotteryState, UnboundedLottery};
 use population_protocols::rand::{SeedSequence, Xoshiro256PlusPlus};
 use population_protocols::stats::{chi_square_samples, two_proportion_z};
+use std::cell::RefCell;
+use std::collections::HashSet;
 
 /// The four execution tiers under comparison.
 #[derive(Clone, Copy, Debug)]
@@ -149,7 +153,7 @@ fn forced_batch_rounds_exercise_collisions_and_walks() {
         let out = sim.run_until_single_leader(u64::MAX);
         assert!(out.converged);
         assert_eq!(sim.leader_count(), 1);
-        let stats = sim.batch_stats();
+        let stats = sim.metrics().batch;
         assert_eq!(
             stats.bulk_interactions + stats.collision_interactions,
             out.steps
@@ -218,33 +222,55 @@ fn unbounded_lottery_keeps_fast_tiers_at_2_20() {
     );
 }
 
+/// `UnboundedLottery` that records every state the engine ever learns of:
+/// the initial state and each successor `transition` returns. The engine
+/// interns exactly these states, so their number is the ground truth for
+/// `distinct_states_seen`.
+struct RecordingLottery(RefCell<HashSet<LotteryState>>);
+
+impl Protocol for RecordingLottery {
+    type State = LotteryState;
+    type Output = Role;
+    fn initial_state(&self) -> LotteryState {
+        let state = UnboundedLottery.initial_state();
+        self.0.borrow_mut().insert(state);
+        state
+    }
+    fn transition(&self, a: &LotteryState, b: &LotteryState) -> (LotteryState, LotteryState) {
+        let (na, nb) = UnboundedLottery.transition(a, b);
+        self.0.borrow_mut().extend([na, nb]);
+        (na, nb)
+    }
+    fn output(&self, s: &LotteryState) -> Role {
+        UnboundedLottery.output(s)
+    }
+}
+
 #[test]
 fn compaction_keeps_distinct_state_count_exact() {
     // distinct_states_seen is the Table-1 "states used" metric; compaction
-    // must not recount states that die and are later revisited. Compare a
-    // compacting run against a compaction-free twin on the same RNG stream:
-    // compaction consumes no randomness, so the executions are identical.
-    use population_protocols::engine::EngineConfig;
+    // renumbers live states and demotes dead ones to seen-only entries, and
+    // must neither drop nor recount a state that dies and is revisited.
     let n = 1 << 14;
-    let run = |compaction: bool| {
-        let rng = Xoshiro256PlusPlus::seed_from_u64(7);
-        let config = EngineConfig {
-            compaction,
-            ..EngineConfig::default()
-        };
-        let mut sim =
-            CountSimulation::with_config(UnboundedLottery, n, rng, config).expect("n >= 2");
-        // Heuristic tiers off: jump/batch draw differently once engaged,
-        // and this twin comparison needs identical RNG consumption.
-        sim.set_jump_scheduler(false);
-        sim.set_batch_tier(false);
-        sim.run(3 * n as u64);
-        (sim.distinct_states_seen(), sim.state_counts(), sim.steps())
-    };
-    let (seen_on, counts_on, steps_on) = run(true);
-    let (seen_off, counts_off, steps_off) = run(false);
-    assert_eq!(steps_on, steps_off);
-    assert_eq!(seen_on, seen_off, "compaction distorted the Table-1 metric");
-    assert_eq!(counts_on, counts_off, "compaction distorted the execution");
-    assert!(seen_on > 1000, "workload too small to exercise compaction");
+    for seed in 7..=9 {
+        let rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+        let protocol = RecordingLottery(RefCell::new(HashSet::new()));
+        let mut sim = CountSimulation::new(protocol, n, rng).expect("n >= 2");
+        sim.set_observer(EngineObserver::new());
+        sim.run(10 * n as u64);
+        let observer = sim.observer().expect("attached");
+        let compactions = observer
+            .events()
+            .iter()
+            .filter(|e| matches!(e, EngineEvent::Compaction { .. }))
+            .count();
+        assert!(compactions > 0, "seed {seed}: the run never compacted");
+        let recorded = sim.protocol().0.borrow().len();
+        assert_eq!(
+            sim.distinct_states_seen(),
+            recorded,
+            "seed {seed}: compaction distorted the Table-1 metric \
+             ({compactions} compactions)"
+        );
+    }
 }

@@ -166,7 +166,7 @@ fn contingency_law_skips_shuffles_on_small_support() {
     let rng = Xoshiro256PlusPlus::seed_from_u64(9);
     let mut sim = mode_sim(Fratricide, n, rng, Mode::Batch);
     sim.run(6 * n as u64);
-    let stats = sim.batch_stats();
+    let stats = sim.metrics().batch;
     assert!(stats.episodes > 0, "no batch episodes at n = {n}");
     assert!(
         stats.shuffle_skips > 0 && stats.contingency_draws > 0,
@@ -206,6 +206,6 @@ fn snapshots_round_trip_on_reference_and_batch_tiers() {
             resumed.state_counts(),
             "{mode:?} resumed trajectory diverged"
         );
-        assert_eq!(sim.batch_stats(), resumed.batch_stats());
+        assert_eq!(sim.metrics().batch, resumed.metrics().batch);
     }
 }
